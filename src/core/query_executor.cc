@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <set>
-#include <shared_mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "core/seo_oracle.h"
 #include "obs/metrics.h"
 #include "tax/twig_join.h"
 
@@ -84,150 +82,6 @@ void AnnotateCacheDelta(obs::Span* span,
   span->Annotate("tree_cache_misses",
                  static_cast<uint64_t>(after.misses - before.misses));
 }
-
-/// Memoizing tax::SimilarOracle over Seo::Similar. Per distinct term, the
-/// ontology lookup, lowercase form, and similarity signature are computed
-/// once and shared across every pair comparison (and worker thread) of one
-/// join -- the structural merge compares the same handful of terms
-/// quadratically often. The verdict reproduces Seo::Similar exactly:
-///   raw equality -> enhanced-isa co-membership when BOTH terms are in the
-///   ontology (no fallthrough) -> measure fallback
-///   d(lower(x), lower(y)) <= epsilon.
-/// The signature prefilter only skips BoundedDistance calls whose result
-/// provably exceeds epsilon (SignatureLowerBound never exceeds the true
-/// distance, and BoundedDistance is contractually > bound there), so it
-/// cannot change the verdict.
-class SeoSimilarOracle final : public tax::SimilarOracle {
- public:
-  explicit SeoSimilarOracle(const Seo* seo)
-      : seo_(seo), epsilon_(seo->epsilon()), has_measure_(seo->has_measure()) {
-    if (has_measure_) {
-      sim::StringSignature probe;
-      signatures_ = seo_->measure().ComputeSignature("", &probe);
-    }
-  }
-
-  bool Similar(const std::string& x, const std::string& y) const override {
-    if (x == y) return true;
-    return SimilarPrepared(Prep(x), Prep(y));
-  }
-
-  /// Id-keyed variant: equal valid ids short-circuit, and the per-term
-  /// memo is probed by SymbolId (u32 hash) instead of hashing the text.
-  /// Terms without a known id are interned on first sight, so later pairs
-  /// of the same join hit the id-keyed memo too.
-  bool SimilarSym(SymbolId sx, const std::string& x, SymbolId sy,
-                  const std::string& y) const override {
-    if (!SymbolFastPathsEnabled()) return Similar(x, y);
-    if (sx != kInvalidSymbol && sx == sy) return true;
-    if (x == y) return true;
-    return SimilarPrepared(PrepSym(sx, x), PrepSym(sy, y));
-  }
-
-  /// Bucket contract for tax::TwigValueFilter: a term's buckets are its
-  /// enhanced-isa node ids. Two in-ontology terms are Similar iff they
-  /// share a node (Seo::Similar's definition, no fallthrough); a term
-  /// outside the ontology has no buckets and is "free" -- the filter then
-  /// routes its pairs through SimilarSym, which applies the measure
-  /// fallback exactly as Similar would.
-  std::vector<uint64_t> CompatBuckets(
-      const std::string& term) const override {
-    const Prepared& p = Prep(term);
-    std::vector<uint64_t> out;
-    out.reserve(p.nodes.size());
-    for (ontology::HNodeId id : p.nodes) {
-      out.push_back(static_cast<uint64_t>(id));
-    }
-    return out;
-  }
-
- private:
-  struct Prepared;
-
-  bool SimilarPrepared(const Prepared& px, const Prepared& py) const {
-    if (!px.nodes.empty() && !py.nodes.empty()) {
-      // Both terms are in the ontology: similar iff some enhanced-isa node
-      // contains both (sorted-vector intersection).
-      auto a = px.nodes.begin();
-      auto b = py.nodes.begin();
-      while (a != px.nodes.end() && b != py.nodes.end()) {
-        if (*a == *b) return true;
-        if (*a < *b) {
-          ++a;
-        } else {
-          ++b;
-        }
-      }
-      return false;
-    }
-    if (!has_measure_) return false;
-    if (px.has_sig && py.has_sig &&
-        seo_->measure().SignatureLowerBound(px.sig, py.sig) > epsilon_) {
-      return false;
-    }
-    return seo_->measure().BoundedDistance(px.lowered, py.lowered, epsilon_) <=
-           epsilon_;
-  }
-
-  struct Prepared {
-    std::vector<ontology::HNodeId> nodes;  // sorted ascending
-    std::string lowered;
-    sim::StringSignature sig;
-    bool has_sig = false;
-  };
-
-  Prepared* Materialize(const std::string& term) const {
-    store_.push_back(std::make_unique<Prepared>());
-    Prepared* p = store_.back().get();
-    p->nodes = seo_->SimilarityNodes(term);
-    std::sort(p->nodes.begin(), p->nodes.end());
-    p->lowered = ToLower(term);
-    if (signatures_) {
-      p->has_sig = seo_->measure().ComputeSignature(p->lowered, &p->sig);
-    }
-    return p;
-  }
-
-  const Prepared& Prep(const std::string& term) const {
-    {
-      std::shared_lock<std::shared_mutex> read(mu_);
-      auto it = cache_.find(term);
-      if (it != cache_.end()) return *it->second;
-    }
-    std::unique_lock<std::shared_mutex> write(mu_);
-    Prepared*& slot = cache_[term];
-    if (slot == nullptr) slot = Materialize(term);
-    return *slot;
-  }
-
-  /// Prep keyed by interned id. An unknown id is resolved by interning the
-  /// term (its id is then stable for the rest of the process); dictionary
-  /// overflow degrades to the string-keyed memo.
-  const Prepared& PrepSym(SymbolId sym, const std::string& term) const {
-    if (sym == kInvalidSymbol) {
-      sym = Interner::Global().Intern(term);
-      if (sym == kInvalidSymbol) return Prep(term);
-    }
-    {
-      std::shared_lock<std::shared_mutex> read(mu_);
-      auto it = sym_cache_.find(sym);
-      if (it != sym_cache_.end()) return *it->second;
-    }
-    std::unique_lock<std::shared_mutex> write(mu_);
-    Prepared*& slot = sym_cache_[sym];
-    if (slot == nullptr) slot = Materialize(term);
-    return *slot;
-  }
-
-  const Seo* seo_;
-  const double epsilon_;
-  const bool has_measure_;
-  bool signatures_ = false;
-  mutable std::shared_mutex mu_;
-  mutable std::unordered_map<std::string, Prepared*> cache_;
-  mutable std::unordered_map<SymbolId, Prepared*> sym_cache_;
-  mutable std::deque<std::unique_ptr<Prepared>> store_;  // pointer stability
-};
 
 /// Single-label atoms in conjunctive context, grouped by label (the only
 /// conditions that can be pushed down into XPath).
@@ -385,7 +239,14 @@ QueryExecutor::QueryExecutor(const store::Database* db, const Seo* seo,
   // only ever read them.
   if (seo_ != nullptr) seo_->WarmCaches();
   if (types_ != nullptr) types_->WarmCaches();
+  if (seo_ != nullptr) {
+    oracle_ = std::make_unique<SeoSimilarOracle>(seo_);
+  } else {
+    oracle_ = std::make_unique<tax::ExactSimilarOracle>();
+  }
 }
+
+QueryExecutor::~QueryExecutor() = default;
 
 void QueryExecutor::SetParallelism(size_t threads) {
   parallelism_.store(std::max<size_t>(1, threads),
@@ -882,15 +743,9 @@ Result<tax::TreeCollection> QueryExecutor::JoinImpl(
   // Plan the structural (twig) join. A null plan, or any document outside
   // the engine's envelope (posting-list blowup), downgrades to the classic
   // pairwise product path below; answers are byte-identical either way.
-  std::unique_ptr<tax::SimilarOracle> oracle;
   std::unique_ptr<tax::TwigJoiner> joiner;
   if (options.use_twig_join) {
-    if (seo_ != nullptr) {
-      oracle = std::make_unique<SeoSimilarOracle>(seo_);
-    } else {
-      oracle = std::make_unique<tax::ExactSimilarOracle>();
-    }
-    joiner = tax::TwigJoiner::Plan(pattern, expand, sem, oracle.get());
+    joiner = tax::TwigJoiner::Plan(pattern, expand, sem, oracle_.get());
   }
   bool use_twig = joiner != nullptr;
   tax::TwigJoinStats tstats;
@@ -1023,11 +878,20 @@ Result<tax::TreeCollection> QueryExecutor::JoinImpl(
     // is outside the filter's envelope; see TwigJoiner::BuildValueFilter).
     std::unique_ptr<tax::TwigValueFilter> value_filter;
     if (combos && options.use_join_value_index) {
+      obs::Span filter_span(&merge_span, "value_filter");
       std::vector<tax::TwigDoc*> all_docs;
       all_docs.reserve(ltwig.size() + rtwig.size());
       for (auto& d : ltwig) all_docs.push_back(&d);
       for (auto& d : rtwig) all_docs.push_back(&d);
       value_filter = joiner->BuildValueFilter(all_docs);
+      if (filter_span.enabled()) {
+        filter_span.Annotate("built", value_filter != nullptr ? "yes" : "no");
+        if (value_filter != nullptr) {
+          filter_span.Annotate(
+              "values", static_cast<uint64_t>(value_filter->value_count()));
+          filter_span.Annotate("pairs_checked", value_filter->pairs_checked());
+        }
+      }
     }
     std::vector<const tax::TwigDoc*> rptrs;
     rptrs.reserve(rtwig.size());

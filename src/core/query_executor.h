@@ -21,9 +21,11 @@
 // thread's stack, and the store's decoded-tree cache is internally locked.
 // The per-request knobs -- parallelism, cancellation/deadline token,
 // prepared-rewrite cache -- travel in QueryOptions, not in executor state.
-// The one shared mutable resource, the worker pool, is claimed per query
-// with a try-lock: the query that gets it fans out, concurrent ones run
-// their loops inline (identical answers either way).
+// Two shared mutable resources remain. The join's similarity oracle keeps
+// an internally locked per-term memo for the executor's lifetime (one SEO).
+// The worker pool is claimed per query with a try-lock: the query that
+// gets it fans out, concurrent ones run their loops inline (identical
+// answers either way).
 //
 // service::TossService is the front door for multi-client use; it adds
 // admission control, deadlines, and the prepared-query cache around this
@@ -54,6 +56,10 @@
 #include "store/database.h"
 #include "tax/operators.h"
 #include "tax/tax_semantics.h"
+
+namespace toss::tax {
+class SimilarOracle;
+}  // namespace toss::tax
 
 namespace toss::core {
 
@@ -124,6 +130,7 @@ class QueryExecutor {
   /// their QueryOptions; QueryOptions::parallelism is always what executes.
   QueryExecutor(const store::Database* db, const Seo* seo,
                 const TypeSystem* types, size_t default_parallelism = 1);
+  ~QueryExecutor();
 
   /// Updates the default width reported by parallelism(). The setter is
   /// atomic and safe to call concurrently; queries already in flight keep
@@ -247,6 +254,10 @@ class QueryExecutor {
   std::atomic<size_t> parallelism_{1};
   tax::TaxSemantics tax_semantics_;
   SeoSemantics seo_semantics_;
+  // The twig join's ~ oracle (SeoSimilarOracle, or exact equality for
+  // TAX). Built once per executor, hence once per SEO: its per-term memo
+  // is shared by every join and is internally locked.
+  std::unique_ptr<const tax::SimilarOracle> oracle_;
   // The shared pool. pool_mu_ doubles as the fan-out claim: RunPerDoc
   // try-locks it, and only the holder touches pool_ (rebuilt when the
   // requested width changes).

@@ -76,6 +76,12 @@ class StringMeasure {
   /// exceed the true distance, and must be 0 for equal strings (equal
   /// strings have equal signatures, but not conversely -- implementations
   /// may not assume signature equality implies string equality).
+  ///
+  /// Signature-length rule: every signature-capable measure returns a value
+  /// >= |a.length - b.length|. The twig value filter's closure kernel
+  /// (core::SeoSimilarOracle::FreePairs) sorts terms by signature length
+  /// and never examines pairs more than epsilon apart, so a measure that
+  /// breaks this rule must not compute signatures.
   virtual double SignatureLowerBound(const StringSignature& a,
                                      const StringSignature& b) const {
     (void)a;

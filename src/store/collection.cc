@@ -32,6 +32,12 @@ StoreMetrics& Instruments() {
   return *m;
 }
 
+/// The value indexes hold exactly the non-empty element contents of at most
+/// 256 bytes; a planner hint on any other value has no posting to consult.
+bool ValueIndexable(std::string_view value) {
+  return !value.empty() && value.size() <= 256;
+}
+
 }  // namespace
 
 // Moves transfer the counters and zero the source: a moved-from collection
@@ -45,6 +51,7 @@ Collection::Collection(Collection&& other) noexcept
       tag_index_(std::move(other.tag_index_)),
       unindexed_tag_docs_(std::move(other.unindexed_tag_docs_)),
       term_index_(std::move(other.term_index_)),
+      unindexed_value_docs_(std::move(other.unindexed_value_docs_)),
       value_index_(std::move(other.value_index_)),
       numeric_index_(std::move(other.numeric_index_)),
       tree_lru_(std::move(other.tree_lru_)),
@@ -64,6 +71,7 @@ Collection& Collection::operator=(Collection&& other) noexcept {
   tag_index_ = std::move(other.tag_index_);
   unindexed_tag_docs_ = std::move(other.unindexed_tag_docs_);
   term_index_ = std::move(other.term_index_);
+  unindexed_value_docs_ = std::move(other.unindexed_value_docs_);
   value_index_ = std::move(other.value_index_);
   numeric_index_ = std::move(other.numeric_index_);
   tree_lru_ = std::move(other.tree_lru_);
@@ -167,7 +175,7 @@ void Collection::IndexDocument(DocId id) {
     }
     // Value indexes: the element's text content (leaf-style values).
     std::string content = doc.TextContent(nid);
-    if (!content.empty() && content.size() <= 256) {
+    if (ValueIndexable(content)) {
       std::string vkey = ValueKey(n.tag, content);
       value_index_.Insert(vkey, id);
       entry.value_keys.push_back(std::move(vkey));
@@ -175,6 +183,8 @@ void Collection::IndexDocument(DocId id) {
         numeric_index_.Insert(*nkey, id);
         entry.numeric_keys.push_back(std::move(*nkey));
       }
+    } else {
+      unindexed_value_docs_[n.tag].insert(id);
     }
     for (const auto& tok : TokenizeWords(content)) {
       term_index_[tok].insert(id);
@@ -188,6 +198,7 @@ void Collection::UnindexDocument(DocId id) {
   for (auto& [tag, postings] : tag_index_) postings.erase(id);
   unindexed_tag_docs_.erase(id);
   for (auto& [term, postings] : term_index_) postings.erase(id);
+  for (auto& [tag, docs] : unindexed_value_docs_) docs.erase(id);
   Entry& entry = docs_[id];
   for (const auto& key : entry.value_keys) {
     (void)value_index_.Remove(key, id);
@@ -312,9 +323,9 @@ std::vector<DocId> Collection::PlanCandidates(const xml::PlanHints& hints,
     postings.emplace_back(std::move(p));
   }
   for (const auto& [tag, value] : hints.required_values) {
-    // Value index only covers short leaf values; skip long ones (the tag
-    // hint still applies).
-    if (value.size() > 256) continue;
+    // Unindexed values have no posting (see ValueIndexable); skip them
+    // (the tag hint still applies).
+    if (!ValueIndexable(value)) continue;
     const std::vector<DocId>* p = value_index_.Get(ValueKey(tag, value));
     postings.emplace_back(p == nullptr ? std::vector<DocId>{} : *p);
   }
@@ -332,8 +343,8 @@ std::vector<DocId> Collection::PlanCandidates(const xml::PlanHints& hints,
     std::vector<DocId> merged;
     bool usable = true;
     for (const auto& value : group.values) {
-      if (value.size() > 256) {
-        usable = false;  // unindexed long value: cannot prune soundly
+      if (!ValueIndexable(value)) {
+        usable = false;  // unindexed value: cannot prune soundly
         break;
       }
       const std::vector<DocId>* p =
@@ -349,7 +360,16 @@ std::vector<DocId> Collection::PlanCandidates(const xml::PlanHints& hints,
   // (non-integer numerics) simply do not prune.
   for (const auto& range : hints.ranges) {
     auto docs = DocsWithValueInRange(range.tag, range.lo, range.hi);
-    if (docs.ok()) postings.push_back(std::move(docs).value());
+    if (!docs.ok()) continue;
+    // Contents the value indexes skip may still lie in the range.
+    auto unindexed = unindexed_value_docs_.find(range.tag);
+    if (unindexed != unindexed_value_docs_.end()) {
+      docs->insert(docs->end(), unindexed->second.begin(),
+                   unindexed->second.end());
+      std::sort(docs->begin(), docs->end());
+      docs->erase(std::unique(docs->begin(), docs->end()), docs->end());
+    }
+    postings.push_back(std::move(docs).value());
   }
   if (postings.empty()) return AllDocs();
   *pruned = true;

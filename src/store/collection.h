@@ -139,8 +139,9 @@ class Collection {
   };
   Stats GetStats() const;
 
-  /// Documents containing a `tag` element whose text content lies in
-  /// [lo, hi] (absent bound = open side). Ordering follows CompareScalar:
+  /// Documents containing a `tag` element whose indexed text content (see
+  /// IndexDocument: non-empty, at most 256 bytes) lies in [lo, hi] (absent
+  /// bound = open side). Ordering follows CompareScalar:
   /// when every present bound parses as an integer the numeric index is
   /// scanned (only integer-valued contents can match); pure-string bounds
   /// scan the lexicographic index. Bounds parsing as non-integer numbers
@@ -198,6 +199,10 @@ class Collection {
   std::unordered_map<SymbolId, std::set<DocId>> tag_index_;
   std::set<DocId> unindexed_tag_docs_;
   std::map<std::string, std::set<DocId>> term_index_;
+  // tag -> documents with a `tag` element whose content the value indexes
+  // skip (empty, or over 256 bytes); range pruning keeps them as
+  // candidates.
+  std::map<std::string, std::set<DocId>> unindexed_value_docs_;
   BPlusTree value_index_;    // ValueKey(tag, content)
   BPlusTree numeric_index_;  // NumericKey(tag, content), integer contents
 

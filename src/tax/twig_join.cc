@@ -468,6 +468,22 @@ std::vector<std::vector<SymbolId>> TwigJoiner::PruneFilterIds() const {
   return out;
 }
 
+PairVerdicts SimilarOracle::FreePairs(const PairUniverse& universe) const {
+  PairVerdicts out;
+  const uint32_t n = static_cast<uint32_t>(universe.size());
+  for (uint32_t a = 0; a < n; ++a) {
+    for (uint32_t b = a + 1; b < n; ++b) {
+      if (!universe.NeedsVerdict(a, b)) continue;
+      ++out.checked;
+      if (SimilarSym(universe.ids[a], universe.texts[a], universe.ids[b],
+                     universe.texts[b])) {
+        out.similar.emplace_back(a, b);
+      }
+    }
+  }
+  return out;
+}
+
 bool TwigValueFilter::CanSkipPair(const TwigDoc& left,
                                   const TwigDoc& right) const {
   if (left.value_slot == TwigDoc::kNoValueSlot ||
@@ -585,23 +601,32 @@ std::unique_ptr<TwigValueFilter> TwigJoiner::BuildValueFilter(
   }
 
   // Compatibility closure over the universe: bucketed pairs via the
-  // oracle's bucket contract, pairs involving a free value via pairwise
-  // SimilarSym. compat[i] bit j <=> Similar(value i, value j); the
-  // relation is symmetric, and every value is compatible with itself
-  // (equal text).
+  // oracle's bucket contract, pairs involving a free value via the
+  // oracle's FreePairs kernel. compat[i] bit j <=> Similar(value i,
+  // value j); the relation is symmetric, and every value is compatible
+  // with itself (equal text). CanSkipPair only reads bits of lhs-slot rows
+  // at rhs-slot columns, so FreePairs need only decide those pairs.
   const size_t value_count = values.size();
   const size_t words = (value_count + 63) / 64;
   Interner& interner = Interner::Global();
-  std::vector<std::string> texts(value_count);
+  PairUniverse universe;
+  universe.ids = std::move(values);
+  universe.texts.resize(value_count);
+  universe.roles.assign(value_count, 0);
   for (size_t i = 0; i < value_count; ++i) {
-    texts[i] = std::string(interner.Text(values[i]));
+    universe.texts[i] = std::string(interner.Text(universe.ids[i]));
+  }
+  for (const DocSets& ds : sets) {
+    for (uint32_t v : ds.lhs) universe.roles[v] |= PairUniverse::kLhs;
+    for (uint32_t v : ds.rhs) universe.roles[v] |= PairUniverse::kRhs;
   }
   std::unordered_map<uint64_t, std::vector<uint32_t>> members;
-  std::vector<uint32_t> free_values;
+  uint64_t free_count = 0;
   for (uint32_t i = 0; i < value_count; ++i) {
-    std::vector<uint64_t> buckets = oracle_->CompatBuckets(texts[i]);
+    std::vector<uint64_t> buckets = oracle_->CompatBuckets(universe.texts[i]);
     if (buckets.empty()) {
-      free_values.push_back(i);
+      universe.roles[i] |= PairUniverse::kFree;
+      ++free_count;
     } else {
       for (uint64_t b : buckets) members[b].push_back(i);
     }
@@ -611,8 +636,7 @@ std::unique_ptr<TwigValueFilter> TwigJoiner::BuildValueFilter(
     bucket_work += static_cast<uint64_t>(ms.size()) * ms.size();
   }
   if (bucket_work > kMaxBucketPairWork ||
-      static_cast<uint64_t>(free_values.size()) * value_count >
-          kMaxFreePairChecks) {
+      free_count * value_count > kMaxFreePairChecks) {
     return nullptr;
   }
   std::vector<TwigValueFilter::Bits> compat(
@@ -623,18 +647,15 @@ std::unique_ptr<TwigValueFilter> TwigJoiner::BuildValueFilter(
       for (uint32_t j : ms) SetBit(compat[i], j);
     }
   }
-  for (uint32_t i : free_values) {
-    for (uint32_t j = 0; j < value_count; ++j) {
-      if (j == i) continue;
-      if (oracle_->SimilarSym(values[i], texts[i], values[j], texts[j])) {
-        SetBit(compat[i], j);
-        SetBit(compat[j], i);
-      }
-    }
+  PairVerdicts verdicts = oracle_->FreePairs(universe);
+  for (const auto& [a, b] : verdicts.similar) {
+    SetBit(compat[a], b);
+    SetBit(compat[b], a);
   }
 
   std::unique_ptr<TwigValueFilter> f(new TwigValueFilter());
   f->value_count_ = value_count;
+  f->pairs_checked_ = verdicts.checked;
   for (size_t i = 0; i < docs.size(); ++i) {
     if (!sets[i].eligible) continue;
     TwigValueFilter::DocBits db;

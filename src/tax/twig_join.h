@@ -34,6 +34,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -44,6 +45,37 @@
 #include "tax/pattern_tree.h"
 
 namespace toss::tax {
+
+/// A term universe for SimilarOracle::FreePairs: distinct terms (equal
+/// texts never appear twice) with the roles the twig value filter gives
+/// them. Index i names the term (ids[i], texts[i]).
+struct PairUniverse {
+  static constexpr uint8_t kFree = 1;  ///< CompatBuckets(term) is empty
+  static constexpr uint8_t kLhs = 2;   ///< under the anchor's lhs slot
+  static constexpr uint8_t kRhs = 4;   ///< under the anchor's rhs slot
+
+  std::vector<SymbolId> ids;
+  std::vector<std::string> texts;
+  std::vector<uint8_t> roles;  ///< bitwise OR of the flags above
+
+  size_t size() const { return ids.size(); }
+
+  /// Whether the filter ever reads the verdict on {a, b}: a free term is
+  /// involved and one term sits under the lhs slot, the other under rhs.
+  bool NeedsVerdict(uint32_t a, uint32_t b) const {
+    const uint8_t ra = roles[a], rb = roles[b];
+    return ((ra | rb) & kFree) != 0 &&
+           (((ra & kLhs) != 0 && (rb & kRhs) != 0) ||
+            ((rb & kLhs) != 0 && (ra & kRhs) != 0));
+  }
+};
+
+/// FreePairs' answer: the similar pairs, each unordered pair once, and the
+/// number of pairs whose verdict was computed (for the trace).
+struct PairVerdicts {
+  std::vector<std::pair<uint32_t, uint32_t>> similar;
+  uint64_t checked = 0;
+};
 
 /// Thread-safe verdict for `x ~ y` on raw term texts, exactly as the active
 /// ConditionSemantics would decide it (both semantics' Similar reads only
@@ -75,6 +107,13 @@ class SimilarOracle {
       const std::string& /*term*/) const {
     return {};
   }
+
+  /// Batch SimilarSym for the value filter's compatibility closure:
+  /// exactly the unordered pairs {a, b}, a != b, with
+  /// universe.NeedsVerdict(a, b) and SimilarSym(a, b) true, each once, in
+  /// any order. The default calls SimilarSym on every pair that needs a
+  /// verdict; overrides must return the same set of pairs.
+  virtual PairVerdicts FreePairs(const PairUniverse& universe) const;
 };
 
 /// Plain TAX: ~ degrades to exact string equality (TaxSemantics::Similar).
@@ -178,6 +217,9 @@ class TwigValueFilter {
   /// Distinct anchor values indexed across all documents.
   size_t value_count() const { return value_count_; }
 
+  /// Pair verdicts the closure computed (SimilarOracle::FreePairs).
+  uint64_t pairs_checked() const { return pairs_checked_; }
+
  private:
   friend class TwigJoiner;
   using Bits = std::vector<uint64_t>;
@@ -196,6 +238,7 @@ class TwigValueFilter {
   TwigValueFilter() = default;
 
   size_t value_count_ = 0;
+  uint64_t pairs_checked_ = 0;
   std::vector<DocBits> docs_;  ///< indexed by TwigDoc::value_slot
 };
 

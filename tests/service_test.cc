@@ -151,6 +151,19 @@ class ServiceTest : public ::testing::Test {
     return pt;
   }
 
+  /// YearSelfJoinPattern with the years replaced by titles under ~: the
+  /// twig join's similarity oracle and value filter both engage.
+  static tax::PatternTree TitleSimilarSelfJoinPattern() {
+    tax::PatternTree pt = YearSelfJoinPattern();
+    pt.SetCondition(
+        tax::ParseCondition("$1.tag = \"tax_prod_root\" & "
+                            "$2.tag = \"inproceedings\" & $3.tag = \"title\" & "
+                            "$4.tag = \"inproceedings\" & $5.tag = \"title\" & "
+                            "$3.content ~ $5.content")
+            .value());
+    return pt;
+  }
+
   data::BibWorld world_;
   store::Database db_;
   core::Seo seo_;
@@ -293,6 +306,40 @@ TEST_F(ServiceTest, SaturatedServiceShedsWithResourceExhausted) {
   }
   holder.join();
   EXPECT_TRUE(shed_seen.load());
+}
+
+TEST_F(ServiceTest, ConcurrentSimilarityJoinsShareOneOracle) {
+  // The executor owns one memoizing similarity oracle for all of its joins;
+  // concurrent ~ joins (some fanned out) must read and fill its memo
+  // safely and answer exactly like a fresh sequential executor.
+  const tax::PatternTree join_pt = TitleSimilarSelfJoinPattern();
+  core::QueryExecutor reference(&db_, &seo_, &types_);
+  auto want = reference.Join("dblp", "dblp", join_pt, {2, 4},
+                             core::QueryOptions{});
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_GT(want->size(), 0u);
+
+  TossService svc(&db_, &seo_, &types_);
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < 4; ++t) {
+    clients.emplace_back([&, t] {
+      for (int it = 0; it < 2; ++it) {
+        QueryRequest req = QueryRequest::Join("dblp", "dblp", join_pt, {2, 4});
+        req.parallelism = (t % 2) == 1 ? 4 : 0;
+        QueryResponse resp = svc.Run(req);
+        if (!resp.ok() || resp.trees.size() != want->size()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        for (size_t i = 0; i < want->size(); ++i) {
+          if (!resp.trees[i].Equals((*want)[i])) failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  EXPECT_EQ(failures.load(), 0u);
 }
 
 TEST_F(ServiceTest, ExpiredTokenFailsSelectBeforeWork) {

@@ -233,6 +233,47 @@ TEST_P(MeasureAxiomsTest, BoundedDistanceContract) {
   }
 }
 
+TEST_P(MeasureAxiomsTest, SignatureLowerBoundCoversLengthDifference) {
+  // The signature-length rule (StringMeasure::SignatureLowerBound): the
+  // twig value filter's closure kernel never examines pairs whose
+  // signature lengths differ by more than epsilon.
+  auto m = MakeMeasure(GetParam());
+  ASSERT_TRUE(m.ok());
+  StringSignature probe;
+  if (!(*m)->ComputeSignature("", &probe)) {
+    GTEST_SKIP() << GetParam() << " has no signatures";
+  }
+  Random rng(21);
+  std::vector<std::string> samples = {"", "a", "Views", "Views.", "VIEWS"};
+  for (int i = 0; i < 40; ++i) {
+    samples.push_back(rng.AlphaString(rng.Uniform(20)));
+  }
+  for (const auto& a : samples) {
+    for (const auto& b : samples) {
+      StringSignature sa, sb;
+      ASSERT_TRUE((*m)->ComputeSignature(a, &sa));
+      ASSERT_TRUE((*m)->ComputeSignature(b, &sb));
+      EXPECT_EQ(sa.length, a.size());
+      const double len_diff =
+          a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
+      const double lb = (*m)->SignatureLowerBound(sa, sb);
+      EXPECT_GE(lb, len_diff) << GetParam() << ": " << a << " / " << b;
+      EXPECT_LE(lb, (*m)->Distance(a, b) + 1e-9)
+          << GetParam() << ": " << a << " / " << b;
+    }
+  }
+}
+
+TEST(SignatureTest, EditFamilyMeasuresHaveSignatures) {
+  for (const char* name : {"levenshtein", "damerau", "ci-levenshtein"}) {
+    auto m = MakeMeasure(name);
+    ASSERT_TRUE(m.ok()) << name;
+    StringSignature sig;
+    EXPECT_TRUE((*m)->ComputeSignature("Views", &sig)) << name;
+    EXPECT_EQ(sig.length, 5u) << name;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllMeasures, MeasureAxiomsTest,
                          ::testing::ValuesIn(MeasureNames()));
 

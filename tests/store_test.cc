@@ -97,6 +97,30 @@ TEST(CollectionTest, MissingTagShortCircuits) {
   EXPECT_EQ(stats.scanned_docs, 0u);
 }
 
+TEST(CollectionTest, UnindexedValuesNeverPruneThroughTheValueIndex) {
+  // The value index skips empty contents and contents over 256 bytes. An
+  // empty literal -- alone or inside a disjunctive group -- must not be
+  // read as an empty posting, and a range hint must keep documents whose
+  // skipped contents may lie in the range (the empty content lies below
+  // 'x' and 'a'; the 300-byte one above 'y').
+  Collection coll("c");
+  ASSERT_TRUE(coll.InsertXml("k1", "<p><b></b></p>").ok());
+  ASSERT_TRUE(coll.InsertXml("k2", "<p><b>x</b></p>").ok());
+  ASSERT_TRUE(
+      coll.InsertXml("k3", "<p><b>" + std::string(300, 'y') + "</b></p>")
+          .ok());
+  for (const char* xpath : {"//p[b = '']", "//b[(. = '' or . = 'x')]",
+                            "//p[b <= 'x']", "//p[b < 'a']",
+                            "//p[b >= 'y']"}) {
+    auto with_idx = coll.QueryText(xpath, true);
+    auto without_idx = coll.QueryText(xpath, false);
+    ASSERT_TRUE(with_idx.ok()) << xpath << ": " << with_idx.status();
+    ASSERT_TRUE(without_idx.ok()) << xpath << ": " << without_idx.status();
+    EXPECT_EQ(with_idx->size(), without_idx->size()) << xpath;
+    EXPECT_FALSE(without_idx->empty()) << xpath;
+  }
+}
+
 TEST(CollectionTest, RemoveHidesDocument) {
   Collection coll = MakeSmallCollection();
   ASSERT_TRUE(coll.Remove("p1").ok());

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/seo_oracle.h"
 #include "core/toss.h"
 #include "tax/tax_semantics.h"
 #include "tax/twig_join.h"
@@ -445,6 +446,9 @@ TEST_F(TwigGoldenTest, TracedJoinAnnotatesTheTwigPhases) {
   EXPECT_NE(pretty.find("twig_merge"), std::string::npos) << pretty;
   EXPECT_NE(pretty.find("stream_advances"), std::string::npos) << pretty;
   EXPECT_NE(pretty.find("join_engine"), std::string::npos) << pretty;
+  // The value filter's closure build is its own span under twig_merge.
+  EXPECT_NE(pretty.find("value_filter"), std::string::npos) << pretty;
+  EXPECT_NE(pretty.find("pairs_checked"), std::string::npos) << pretty;
 }
 
 // ---------------------------------------------------------------------------
@@ -635,6 +639,181 @@ TEST_F(TwigPropertyTest, RandomPatternsAgreeAcrossParallelism) {
       EXPECT_EQ(Serialize(*a), Serialize(*b)) << "trial " << trial;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The value filter's closure kernel (SeoSimilarOracle::FreePairs) against a
+// brute-force SimilarSym closure
+// ---------------------------------------------------------------------------
+
+class ValueFilterKernelTest : public ::testing::Test {
+ protected:
+  /// Short words over a small alphabet (with some capitals), so every edit
+  /// distance from 0 to past 3 is common among them.
+  static std::string RandomWord(std::mt19937* rng) {
+    static const char kChars[] = "abcdAB";
+    const int len = std::uniform_int_distribution<int>(2, 8)(*rng);
+    std::string w;
+    for (int i = 0; i < len; ++i) {
+      w += kChars[std::uniform_int_distribution<int>(0, 5)(*rng)];
+    }
+    return w;
+  }
+
+  /// One document hosting `lhs` titles under the join's left subtree
+  /// (paper/title at the root) and `rhs` titles under its right subtree
+  /// (article/title anywhere).
+  static std::shared_ptr<const tax::DataTree> Doc(
+      const std::vector<std::string>& lhs,
+      const std::vector<std::string>& rhs) {
+    std::string xml = "<paper>";
+    for (const auto& t : lhs) xml += "<title>" + t + "</title>";
+    for (const auto& t : rhs) {
+      xml += "<article><title>" + t + "</title></article>";
+    }
+    return Tree(xml + "</paper>");
+  }
+
+  /// An SEO whose isa ontology holds `terms` (they get CompatBuckets; all
+  /// other words stay free), or one without a measure when `measure` is
+  /// empty (every word free, nothing similar but equal texts).
+  static std::optional<core::Seo> MakeSeo(
+      const std::string& measure, double epsilon,
+      const std::vector<std::string>& terms) {
+    if (measure.empty()) return core::Seo();
+    std::vector<xml::XmlDocument> parsed;
+    for (const auto& t : terms) {
+      auto doc = xml::Parse("<inproceedings><title>" + t +
+                            "</title></inproceedings>");
+      EXPECT_TRUE(doc.ok()) << doc.status();
+      parsed.push_back(std::move(doc).value());
+    }
+    std::vector<const xml::XmlDocument*> docs;
+    for (const auto& d : parsed) docs.push_back(&d);
+    ontology::OntologyMakerOptions opts;
+    opts.content_tags = {"title"};
+    auto o = ontology::MakeOntologyForDocuments(
+        docs, lexicon::BuiltinBibliographicLexicon(), opts);
+    EXPECT_TRUE(o.ok()) << o.status();
+    core::SeoBuilder builder;
+    builder.AddInstanceOntology(std::move(o).value());
+    builder.SetMeasure(*sim::MakeMeasure(measure));
+    builder.SetEpsilon(epsilon);
+    auto seo = builder.Build();
+    if (!seo.ok()) return std::nullopt;  // similarity-inconsistent draw
+    return std::move(seo).value();
+  }
+
+  /// Builds the filter over random documents and compares CanSkipPair on
+  /// every document pair with the brute-force closure. Returns the number
+  /// of skippable pairs.
+  size_t CheckOneUniverse(const core::Seo& seo, std::mt19937* rng,
+                          const std::vector<std::string>& vocab) {
+    seo.WarmCaches();
+    core::SeoSimilarOracle kernel(&seo);
+    core::SeoSimilarOracle reference(&seo);
+    tax::TaxSemantics sem;
+    tax::PatternTree pt = JoinPattern(
+        "$1.tag = \"tax_prod_root\" & "
+        "$2.tag = \"paper\" & $3.tag = \"title\" & "
+        "$4.tag = \"article\" & $5.tag = \"title\" & "
+        "$3.content ~ $5.content");
+    auto joiner = tax::TwigJoiner::Plan(pt, {2, 4}, sem, &kernel);
+    EXPECT_NE(joiner, nullptr);
+    if (joiner == nullptr) return 0;
+    auto pick = [&] {
+      return vocab[std::uniform_int_distribution<size_t>(
+          0, vocab.size() - 1)(*rng)];
+    };
+    auto some = [&](int max) {
+      std::vector<std::string> out(
+          std::uniform_int_distribution<int>(0, max)(*rng));
+      for (auto& w : out) w = pick();
+      return out;
+    };
+    struct Side {
+      std::vector<std::string> lhs, rhs;
+    };
+    std::vector<Side> sides(16);
+    std::vector<tax::TwigDoc> docs;
+    tax::TwigJoinStats stats;
+    for (Side& side : sides) {
+      side.lhs = some(3);
+      side.rhs = some(2);
+      auto d = joiner->Prepare(Doc(side.lhs, side.rhs), &stats);
+      EXPECT_TRUE(d.ok()) << d.status();
+      docs.push_back(std::move(d).value());
+    }
+    std::vector<tax::TwigDoc*> ptrs;
+    for (auto& d : docs) ptrs.push_back(&d);
+    auto filter = joiner->BuildValueFilter(ptrs);
+    EXPECT_NE(filter, nullptr);
+    if (filter == nullptr) return 0;
+
+    Interner& interner = Interner::Global();
+    auto similar = [&](const std::string& x, const std::string& y) {
+      return reference.SimilarSym(interner.Intern(x), x, interner.Intern(y),
+                                  y);
+    };
+    auto compatible = [&](const Side& l, const Side& r) {
+      for (const auto& a : l.lhs) {
+        for (const auto& b : r.rhs) {
+          if (similar(a, b)) return true;
+        }
+      }
+      return false;
+    };
+    size_t skippable = 0;
+    for (size_t l = 0; l < docs.size(); ++l) {
+      for (size_t r = 0; r < docs.size(); ++r) {
+        const bool expect =
+            !compatible(sides[l], sides[r]) && !compatible(sides[r], sides[l]);
+        EXPECT_EQ(filter->CanSkipPair(docs[l], docs[r]), expect)
+            << "docs " << l << ", " << r;
+        skippable += expect ? 1 : 0;
+      }
+    }
+    return skippable;
+  }
+};
+
+TEST_F(ValueFilterKernelTest, MatchesBruteForceClosureAcrossMeasures) {
+  // jaro has no signatures (the unsorted kernel path); "" is an SEO with no
+  // measure at all.
+  const char* kMeasures[] = {"levenshtein", "damerau", "ci-levenshtein",
+                             "jaro", ""};
+  std::mt19937 rng(2024);
+  size_t skippable = 0, bucketed = 0, free_terms = 0;
+  for (const char* measure : kMeasures) {
+    int seos_built = 0;
+    for (double epsilon : {0.0, 1.0, 2.0, 3.0}) {
+      for (bool fast : {true, false}) {
+        FastPathGuard guard(fast);
+        std::vector<std::string> vocab(40);
+        for (auto& w : vocab) w = RandomWord(&rng);
+        // The first dozen words (before dedup) join the ontology.
+        std::vector<std::string> terms(vocab.begin(), vocab.begin() + 12);
+        std::optional<core::Seo> seo = MakeSeo(measure, epsilon, terms);
+        if (!seo.has_value()) continue;
+        ++seos_built;
+        SCOPED_TRACE(std::string("measure=") + measure +
+                     " epsilon=" + std::to_string(epsilon) +
+                     " fast=" + std::to_string(fast));
+        core::SeoSimilarOracle probe(&*seo);
+        for (const auto& w : vocab) {
+          (probe.CompatBuckets(w).empty() ? free_terms : bucketed) += 1;
+        }
+        for (int round = 0; round < 3; ++round) {
+          skippable += CheckOneUniverse(*seo, &rng, vocab);
+        }
+      }
+    }
+    EXPECT_GT(seos_built, 0) << measure;
+  }
+  // The draws must exercise both kinds of term and both verdicts.
+  EXPECT_GT(bucketed, 0u);
+  EXPECT_GT(free_terms, 0u);
+  EXPECT_GT(skippable, 0u);
 }
 
 // ---------------------------------------------------------------------------
