@@ -71,16 +71,30 @@ QueryMetrics& Instruments() {
   return *m;
 }
 
-/// Annotates `span` with the decoded-tree cache activity between the two
-/// stat snapshots. No-op for disabled spans.
-void AnnotateCacheDelta(obs::Span* span,
-                        const store::Collection::TreeCacheStats& before,
-                        const store::Collection::TreeCacheStats& after) {
-  if (span == nullptr || !span->enabled()) return;
-  span->Annotate("tree_cache_hits",
-                 static_cast<uint64_t>(after.hits - before.hits));
-  span->Annotate("tree_cache_misses",
-                 static_cast<uint64_t>(after.misses - before.misses));
+/// Closes one executor phase from a single timer reading: ends `span`,
+/// records the elapsed time in the phase's latency histogram, and adds it
+/// to the phase's ExecStats field.
+void EndPhase(obs::Span* span, const Timer& timer, obs::Histogram& latency,
+              ExecStats* stats, double ExecStats::*phase_ms) {
+  span->End();
+  const int64_t ns = timer.ElapsedNanos();
+  latency.Record(static_cast<uint64_t>(ns));
+  if (stats != nullptr) stats->*phase_ms += static_cast<double>(ns) / 1e6;
+}
+
+/// Closes phase (iii) of any operator: annotates the eval span, ends the
+/// phase, and counts the answer trees.
+void EndEval(obs::Span* eval_span, const Timer& timer, size_t docs_evaluated,
+             const tax::TreeCollection& result, ExecStats* stats) {
+  QueryMetrics& m = Instruments();
+  if (eval_span->enabled()) {
+    eval_span->Annotate("docs_evaluated",
+                        static_cast<uint64_t>(docs_evaluated));
+    eval_span->Annotate("result_trees", static_cast<uint64_t>(result.size()));
+  }
+  EndPhase(eval_span, timer, m.eval_ns, stats, &ExecStats::eval_ms);
+  m.result_trees.Add(result.size());
+  if (stats != nullptr) stats->result_trees += result.size();
 }
 
 /// Single-label atoms in conjunctive context, grouped by label (the only
@@ -439,9 +453,9 @@ Result<std::string> QueryExecutor::Explain(
 }
 
 Result<std::vector<store::DocId>> QueryExecutor::CandidateDocs(
-    const store::Collection& coll, const PatternTree& pattern,
-    const std::vector<int>& labels, const QueryOptions& options,
-    ExecStats* stats, obs::Span* parent) const {
+    const store::Collection& coll, const store::Collection* other,
+    const PatternTree& pattern, const std::vector<int>& labels,
+    const QueryOptions& options, ExecStats* stats, obs::Span* parent) const {
   QueryMetrics& m = Instruments();
   TOSS_RETURN_NOT_OK(CheckCancel(options.cancel));
   Timer timer;
@@ -474,12 +488,10 @@ Result<std::vector<store::DocId>> QueryExecutor::CandidateDocs(
   if (options.prepared != nullptr && rewrite_span.enabled()) {
     rewrite_span.Annotate("prepared_cache", cache_hit ? "hit" : "miss");
   }
-  rewrite_span.End();
-  m.rewrite_ns.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
+  EndPhase(&rewrite_span, timer, m.rewrite_ns, stats, &ExecStats::rewrite_ms);
   m.xpath_queries.Add(xpaths.size());
   m.expanded_terms.Add(expanded);
   if (stats != nullptr) {
-    stats->rewrite_ms += timer.ElapsedMillis();
     stats->xpath_queries += xpaths.size();
     stats->expanded_terms += expanded;
     stats->prepared_cache_hits += cache_hit ? 1 : 0;
@@ -487,21 +499,33 @@ Result<std::vector<store::DocId>> QueryExecutor::CandidateDocs(
 
   timer.Reset();
   obs::Span store_span(parent, "store_scan");
+  // A join operand's query prunes only when its anchor tag ("//tag[...]")
+  // occurs in no document of the other operand. Otherwise that pattern
+  // node may embed on the other side of the product tree (a join is Select
+  // over Product), so a document failing the query can still pair into an
+  // answer.
+  std::vector<const std::string*> pushdown;
+  for (const std::string& xp : xpaths) {
+    if (other == nullptr ||
+        other->DocsWithAnyTag({xp.substr(2, xp.find('[') - 2)}).empty()) {
+      pushdown.push_back(&xp);
+    }
+  }
   std::vector<store::DocId> docs;
   size_t scanned_docs = 0;
   size_t total_docs = 0;
   bool used_indexes = false;
-  if (xpaths.empty()) {
+  if (pushdown.empty()) {
     docs = coll.AllDocs();
     scanned_docs = docs.size();  // full collection scan, nothing pruned
     total_docs = docs.size();
   } else {
     bool first = true;
-    for (const auto& xp : xpaths) {
+    for (const std::string* xp : pushdown) {
       TOSS_RETURN_NOT_OK(CheckCancel(options.cancel));
       store::QueryStats qstats;
       TOSS_ASSIGN_OR_RETURN(std::vector<store::DocId> ids,
-                            MatchedDocs(coll, xp, &qstats));
+                            MatchedDocs(coll, *xp, &qstats));
       scanned_docs += qstats.scanned_docs;
       total_docs = std::max(total_docs, qstats.total_docs);
       used_indexes = used_indexes || qstats.used_indexes;
@@ -519,7 +543,8 @@ Result<std::vector<store::DocId>> QueryExecutor::CandidateDocs(
     store_span.Annotate("docs_scanned", static_cast<uint64_t>(scanned_docs));
     store_span.Annotate("docs_total", static_cast<uint64_t>(total_docs));
     store_span.Annotate("index_used", used_indexes ? "true" : "false");
-    const size_t scan_budget = total_docs * std::max<size_t>(xpaths.size(), 1);
+    const size_t scan_budget =
+        total_docs * std::max<size_t>(pushdown.size(), 1);
     if (scan_budget > 0) {
       // Fraction of the naive per-query scan work the indexes eliminated.
       store_span.Annotate(
@@ -528,60 +553,32 @@ Result<std::vector<store::DocId>> QueryExecutor::CandidateDocs(
                     static_cast<double>(scan_budget));
     }
   }
-  store_span.End();
-  m.store_ns.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
+  EndPhase(&store_span, timer, m.store_ns, stats, &ExecStats::store_ms);
   m.candidate_docs.Add(docs.size());
-  if (stats != nullptr) {
-    stats->store_ms += timer.ElapsedMillis();
-    stats->candidate_docs += docs.size();
-  }
+  if (stats != nullptr) stats->candidate_docs += docs.size();
   return docs;
 }
 
-Result<tax::TreeCollection> QueryExecutor::SelectImpl(
-    const std::string& collection, const PatternTree& pattern,
-    const std::vector<int>& sl, const QueryOptions& options, ExecStats* stats,
-    obs::Span* parent) const {
-  QueryMetrics& m = Instruments();
-  m.selects.Increment();
-  TOSS_ASSIGN_OR_RETURN(const store::Collection* coll,
-                        db_->GetCollection(collection));
-  TOSS_ASSIGN_OR_RETURN(
-      std::vector<store::DocId> docs,
-      CandidateDocs(*coll, pattern, {}, options, stats, parent));
-  TOSS_RETURN_NOT_OK(pattern.Validate());
+template <typename Part, typename EvalTree, typename Merge>
+Result<tax::TreeCollection> QueryExecutor::EvalPerDoc(
+    const store::Collection& coll, const std::vector<store::DocId>& docs,
+    const QueryOptions& options, ExecStats* stats, obs::Span* parent,
+    const EvalTree& eval_tree, const Merge& merge) const {
   Timer timer;
   obs::Span eval_span(parent, "eval");
-  const store::Collection::TreeCacheStats cache_before =
-      eval_span.enabled() ? coll->GetTreeCacheStats()
-                          : store::Collection::TreeCacheStats{};
-  const tax::ConditionSemantics& sem = semantics();
-  const std::set<int> expand(sl.begin(), sl.end());
   // Per-document parts keep the merge order deterministic regardless of
   // which worker finishes first.
-  std::vector<tax::TreeCollection> parts(docs.size());
+  std::vector<Part> parts(docs.size());
   TOSS_RETURN_NOT_OK(RunPerDoc(
       docs.size(),
       [&](size_t i) -> Status {
-        std::shared_ptr<const tax::DataTree> tree = coll->DecodedTree(docs[i]);
-        TOSS_ASSIGN_OR_RETURN(parts[i],
-                              tax::SelectTree(*tree, pattern, expand, sem));
+        std::shared_ptr<const tax::DataTree> tree = coll.DecodedTree(docs[i]);
+        TOSS_ASSIGN_OR_RETURN(parts[i], eval_tree(*tree));
         return Status::OK();
       },
       options));
-  tax::TreeCollection result = tax::MergeDedup(std::move(parts));
-  if (eval_span.enabled()) {
-    eval_span.Annotate("docs_evaluated", static_cast<uint64_t>(docs.size()));
-    eval_span.Annotate("result_trees", static_cast<uint64_t>(result.size()));
-    AnnotateCacheDelta(&eval_span, cache_before, coll->GetTreeCacheStats());
-  }
-  eval_span.End();
-  m.eval_ns.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
-  m.result_trees.Add(result.size());
-  if (stats != nullptr) {
-    stats->eval_ms += timer.ElapsedMillis();
-    stats->result_trees += result.size();
-  }
+  tax::TreeCollection result = merge(std::move(parts));
+  EndEval(&eval_span, timer, docs.size(), result, stats);
   return result;
 }
 
@@ -589,120 +586,65 @@ Result<tax::TreeCollection> QueryExecutor::Select(
     const std::string& collection, const PatternTree& pattern,
     const std::vector<int>& sl, const QueryOptions& options, ExecStats* stats,
     obs::Span* parent) const {
-  return SelectImpl(collection, pattern, sl, options, stats, parent);
-}
-
-Result<tax::TreeCollection> QueryExecutor::ProjectImpl(
-    const std::string& collection, const PatternTree& pattern,
-    const std::vector<tax::ProjectItem>& pl, const QueryOptions& options,
-    ExecStats* stats, obs::Span* parent) const {
-  QueryMetrics& m = Instruments();
-  m.projects.Increment();
+  Instruments().selects.Increment();
   TOSS_ASSIGN_OR_RETURN(const store::Collection* coll,
                         db_->GetCollection(collection));
   TOSS_ASSIGN_OR_RETURN(
       std::vector<store::DocId> docs,
-      CandidateDocs(*coll, pattern, {}, options, stats, parent));
-  TOSS_RETURN_NOT_OK(pattern.Validate());
-  Timer timer;
-  obs::Span eval_span(parent, "eval");
-  const store::Collection::TreeCacheStats cache_before =
-      eval_span.enabled() ? coll->GetTreeCacheStats()
-                          : store::Collection::TreeCacheStats{};
-  const tax::ConditionSemantics& sem = semantics();
-  std::vector<tax::TreeCollection> parts(docs.size());
-  TOSS_RETURN_NOT_OK(RunPerDoc(
-      docs.size(),
-      [&](size_t i) -> Status {
-        std::shared_ptr<const tax::DataTree> tree = coll->DecodedTree(docs[i]);
-        TOSS_ASSIGN_OR_RETURN(parts[i],
-                              tax::ProjectTree(*tree, pattern, pl, sem));
-        return Status::OK();
+      CandidateDocs(*coll, nullptr, pattern, {}, options, stats, parent));
+  const std::set<int> expand(sl.begin(), sl.end());
+  return EvalPerDoc<tax::TreeCollection>(
+      *coll, docs, options, stats, parent,
+      [&](const tax::DataTree& tree) {
+        return tax::SelectTree(tree, pattern, expand, semantics());
       },
-      options));
-  tax::TreeCollection result = tax::MergeDedup(std::move(parts));
-  if (eval_span.enabled()) {
-    eval_span.Annotate("docs_evaluated", static_cast<uint64_t>(docs.size()));
-    eval_span.Annotate("result_trees", static_cast<uint64_t>(result.size()));
-    AnnotateCacheDelta(&eval_span, cache_before, coll->GetTreeCacheStats());
-  }
-  eval_span.End();
-  m.eval_ns.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
-  m.result_trees.Add(result.size());
-  if (stats != nullptr) {
-    stats->eval_ms += timer.ElapsedMillis();
-    stats->result_trees += result.size();
-  }
-  return result;
+      tax::MergeDedup);
 }
 
 Result<tax::TreeCollection> QueryExecutor::Project(
     const std::string& collection, const PatternTree& pattern,
     const std::vector<tax::ProjectItem>& pl, const QueryOptions& options,
     ExecStats* stats, obs::Span* parent) const {
-  return ProjectImpl(collection, pattern, pl, options, stats, parent);
-}
-
-Result<tax::TreeCollection> QueryExecutor::GroupByImpl(
-    const std::string& collection, const PatternTree& pattern,
-    int group_label, const std::vector<int>& sl, const QueryOptions& options,
-    ExecStats* stats, obs::Span* parent) const {
-  QueryMetrics& m = Instruments();
-  m.groupbys.Increment();
+  Instruments().projects.Increment();
   TOSS_ASSIGN_OR_RETURN(const store::Collection* coll,
                         db_->GetCollection(collection));
   TOSS_ASSIGN_OR_RETURN(
       std::vector<store::DocId> docs,
-      CandidateDocs(*coll, pattern, {}, options, stats, parent));
-  TOSS_RETURN_NOT_OK(pattern.Validate());
-  if (pattern.IndexOfLabel(group_label) < 0) {
-    return Status::InvalidArgument("GroupBy: label $" +
-                                   std::to_string(group_label) +
-                                   " is not a pattern node");
-  }
-  Timer timer;
-  obs::Span eval_span(parent, "eval");
-  const store::Collection::TreeCacheStats cache_before =
-      eval_span.enabled() ? coll->GetTreeCacheStats()
-                          : store::Collection::TreeCacheStats{};
-  const tax::ConditionSemantics& sem = semantics();
-  const std::set<int> expand(sl.begin(), sl.end());
-  std::vector<std::vector<tax::GroupedWitness>> parts(docs.size());
-  TOSS_RETURN_NOT_OK(RunPerDoc(
-      docs.size(),
-      [&](size_t i) -> Status {
-        std::shared_ptr<const tax::DataTree> tree = coll->DecodedTree(docs[i]);
-        TOSS_ASSIGN_OR_RETURN(
-            parts[i],
-            tax::GroupByTree(*tree, pattern, group_label, expand, sem));
-        return Status::OK();
+      CandidateDocs(*coll, nullptr, pattern, {}, options, stats, parent));
+  return EvalPerDoc<tax::TreeCollection>(
+      *coll, docs, options, stats, parent,
+      [&](const tax::DataTree& tree) {
+        return tax::ProjectTree(tree, pattern, pl, semantics());
       },
-      options));
-  tax::TreeCollection result = tax::AssembleGroups(std::move(parts));
-  if (eval_span.enabled()) {
-    eval_span.Annotate("docs_evaluated", static_cast<uint64_t>(docs.size()));
-    eval_span.Annotate("result_trees", static_cast<uint64_t>(result.size()));
-    AnnotateCacheDelta(&eval_span, cache_before, coll->GetTreeCacheStats());
-  }
-  eval_span.End();
-  m.eval_ns.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
-  m.result_trees.Add(result.size());
-  if (stats != nullptr) {
-    stats->eval_ms += timer.ElapsedMillis();
-    stats->result_trees += result.size();
-  }
-  return result;
+      tax::MergeDedup);
 }
 
 Result<tax::TreeCollection> QueryExecutor::GroupBy(
     const std::string& collection, const PatternTree& pattern,
     int group_label, const std::vector<int>& sl, const QueryOptions& options,
     ExecStats* stats, obs::Span* parent) const {
-  return GroupByImpl(collection, pattern, group_label, sl, options, stats,
-                     parent);
+  Instruments().groupbys.Increment();
+  TOSS_ASSIGN_OR_RETURN(const store::Collection* coll,
+                        db_->GetCollection(collection));
+  TOSS_ASSIGN_OR_RETURN(
+      std::vector<store::DocId> docs,
+      CandidateDocs(*coll, nullptr, pattern, {}, options, stats, parent));
+  if (pattern.IndexOfLabel(group_label) < 0) {
+    return Status::InvalidArgument("GroupBy: label $" +
+                                   std::to_string(group_label) +
+                                   " is not a pattern node");
+  }
+  const std::set<int> expand(sl.begin(), sl.end());
+  return EvalPerDoc<std::vector<tax::GroupedWitness>>(
+      *coll, docs, options, stats, parent,
+      [&](const tax::DataTree& tree) {
+        return tax::GroupByTree(tree, pattern, group_label, expand,
+                                semantics());
+      },
+      tax::AssembleGroups);
 }
 
-Result<tax::TreeCollection> QueryExecutor::JoinImpl(
+Result<tax::TreeCollection> QueryExecutor::Join(
     const std::string& left, const std::string& right,
     const PatternTree& pattern, const std::vector<int>& sl,
     const QueryOptions& options, ExecStats* stats, obs::Span* parent) const {
@@ -727,13 +669,15 @@ Result<tax::TreeCollection> QueryExecutor::JoinImpl(
     obs::Span lspan(parent, "candidates_left");
     TOSS_ASSIGN_OR_RETURN(
         ldocs,
-        CandidateDocs(*lcoll, pattern, left_labels, options, stats, &lspan));
+        CandidateDocs(*lcoll, rcoll, pattern, left_labels, options, stats,
+                      &lspan));
   }
   {
     obs::Span rspan(parent, "candidates_right");
     TOSS_ASSIGN_OR_RETURN(
         rdocs,
-        CandidateDocs(*rcoll, pattern, right_labels, options, stats, &rspan));
+        CandidateDocs(*rcoll, lcoll, pattern, right_labels, options, stats,
+                      &rspan));
   }
 
   Timer timer;
@@ -743,10 +687,8 @@ Result<tax::TreeCollection> QueryExecutor::JoinImpl(
   // Plan the structural (twig) join. A null plan, or any document outside
   // the engine's envelope (posting-list blowup), downgrades to the classic
   // pairwise product path below; answers are byte-identical either way.
-  std::unique_ptr<tax::TwigJoiner> joiner;
-  if (options.use_twig_join) {
-    joiner = tax::TwigJoiner::Plan(pattern, expand, sem, oracle_.get());
-  }
+  std::unique_ptr<tax::TwigJoiner> joiner =
+      tax::TwigJoiner::Plan(pattern, expand, sem, oracle_.get());
   bool use_twig = joiner != nullptr;
   tax::TwigJoinStats tstats;
   std::vector<tax::TwigDoc> rtwig, ltwig;
@@ -778,13 +720,10 @@ Result<tax::TreeCollection> QueryExecutor::JoinImpl(
     }
   }
 
-  // Decode the right side once up front (fanned out across the pool); the
-  // shared_ptrs keep the trees alive even if the cache evicts them. On the
-  // twig path the per-doc posting lists are built in the same pass.
+  // Decode the right side once up front and build its posting lists in the
+  // same pass (fanned out across the pool); the shared_ptrs keep the trees
+  // alive even if the cache evicts them.
   obs::Span decode_span(parent, "decode_right");
-  const store::Collection::TreeCacheStats rcache_before =
-      decode_span.enabled() ? rcoll->GetTreeCacheStats()
-                            : store::Collection::TreeCacheStats{};
   std::vector<std::shared_ptr<const tax::DataTree>> rtrees(rdocs.size());
   if (use_twig) {
     rtwig.resize(rdocs.size());
@@ -801,33 +740,13 @@ Result<tax::TreeCollection> QueryExecutor::JoinImpl(
           return Status::OK();
         },
         options));
-    for (const auto& d : rtwig) {
-      if (!d.supported) {
-        use_twig = false;
-        break;
-      }
-    }
+    use_twig = std::all_of(rtwig.begin(), rtwig.end(),
+                           [](const tax::TwigDoc& d) { return d.supported; });
   }
-  if (!use_twig) {
-    TOSS_RETURN_NOT_OK(RunPerDoc(
-        rdocs.size(),
-        [&](size_t i) -> Status {
-          if (rtrees[i] == nullptr) rtrees[i] = rcoll->DecodedTree(rdocs[i]);
-          return Status::OK();
-        },
-        options));
-  }
-  if (decode_span.enabled()) {
-    decode_span.Annotate("right_docs", static_cast<uint64_t>(rdocs.size()));
-    AnnotateCacheDelta(&decode_span, rcache_before,
-                       rcoll->GetTreeCacheStats());
-  }
+  decode_span.Annotate("right_docs", static_cast<uint64_t>(rdocs.size()));
   decode_span.End();
 
   obs::Span eval_span(parent, "eval");
-  const store::Collection::TreeCacheStats lcache_before =
-      eval_span.enabled() ? lcoll->GetTreeCacheStats()
-                          : store::Collection::TreeCacheStats{};
   tax::TreeCollection result;
   if (use_twig) {
     // Left side: decode + postings (mirrors the pairwise path, which also
@@ -854,12 +773,8 @@ Result<tax::TreeCollection> QueryExecutor::JoinImpl(
       postings_span.Annotate("docs_pruned", docs_pruned);
     }
     postings_span.End();
-    for (const auto& d : ltwig) {
-      if (!d.supported) {
-        use_twig = false;
-        break;
-      }
-    }
+    use_twig = std::all_of(ltwig.begin(), ltwig.end(),
+                           [](const tax::TwigDoc& d) { return d.supported; });
   }
   if (use_twig) {
     // Cross-tree match groups exist only when the product root itself can
@@ -877,7 +792,7 @@ Result<tax::TreeCollection> QueryExecutor::JoinImpl(
     // similarity-compatible join-key values (nullptr when the join shape
     // is outside the filter's envelope; see TwigJoiner::BuildValueFilter).
     std::unique_ptr<tax::TwigValueFilter> value_filter;
-    if (combos && options.use_join_value_index) {
+    if (combos) {
       obs::Span filter_span(&merge_span, "value_filter");
       std::vector<tax::TwigDoc*> all_docs;
       all_docs.reserve(ltwig.size() + rtwig.size());
@@ -947,12 +862,17 @@ Result<tax::TreeCollection> QueryExecutor::JoinImpl(
     m.twig_combos.Add(tstats.combos_emitted.load(std::memory_order_relaxed));
     m.twig_pruned.Add(pruned_subtrees);
   } else {
-    if (options.use_twig_join) m.twig_fallbacks.Increment();
+    m.twig_fallbacks.Increment();
     if (eval_span.enabled()) eval_span.Annotate("join_engine", "pairwise");
-    // Backfill any right trees the twig attempt skipped before bailing.
-    for (size_t i = 0; i < rtrees.size(); ++i) {
-      if (rtrees[i] == nullptr) rtrees[i] = rcoll->DecodedTree(rdocs[i]);
-    }
+    // Decode the right trees the twig attempt did not (pruned documents,
+    // or all of them without a plan).
+    TOSS_RETURN_NOT_OK(RunPerDoc(
+        rdocs.size(),
+        [&](size_t i) -> Status {
+          if (rtrees[i] == nullptr) rtrees[i] = rcoll->DecodedTree(rdocs[i]);
+          return Status::OK();
+        },
+        options));
     std::vector<const tax::DataTree*> right_ptrs;
     right_ptrs.reserve(rtrees.size());
     for (const auto& t : rtrees) right_ptrs.push_back(t.get());
@@ -973,27 +893,9 @@ Result<tax::TreeCollection> QueryExecutor::JoinImpl(
         options));
     result = tax::MergeDedup(std::move(parts));
   }
-  if (eval_span.enabled()) {
-    eval_span.Annotate("docs_evaluated", static_cast<uint64_t>(ldocs.size()));
-    eval_span.Annotate("result_trees", static_cast<uint64_t>(result.size()));
-    AnnotateCacheDelta(&eval_span, lcache_before, lcoll->GetTreeCacheStats());
-  }
   if (stats != nullptr) stats->join_engine = use_twig ? 2 : 1;
-  eval_span.End();
-  m.eval_ns.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
-  m.result_trees.Add(result.size());
-  if (stats != nullptr) {
-    stats->eval_ms += timer.ElapsedMillis();
-    stats->result_trees += result.size();
-  }
+  EndEval(&eval_span, timer, ldocs.size(), result, stats);
   return result;
-}
-
-Result<tax::TreeCollection> QueryExecutor::Join(
-    const std::string& left, const std::string& right,
-    const PatternTree& pattern, const std::vector<int>& sl,
-    const QueryOptions& options, ExecStats* stats, obs::Span* parent) const {
-  return JoinImpl(left, right, pattern, sl, options, stats, parent);
 }
 
 }  // namespace toss::core

@@ -30,10 +30,7 @@
 // service::TossService is the front door for multi-client use; it adds
 // admission control, deadlines, and the prepared-query cache around this
 // class, and service/wire.h defines the JSON forms the network edge speaks.
-// In-process callers use the four QueryOptions entry points below directly;
-// the old options-free per-operator wrappers and ExplainAnalyze* variants
-// were retired (pass QueryOptions, or set QueryRequest::collect_trace on
-// the service path, for the same behavior).
+// In-process callers use the four QueryOptions entry points below directly.
 
 #ifndef TOSS_CORE_QUERY_EXECUTOR_H_
 #define TOSS_CORE_QUERY_EXECUTOR_H_
@@ -98,22 +95,6 @@ struct QueryOptions {
   /// Phase (i) memo (see PreparedQueryCache). Null = rewrite every time.
   /// Caller-owned; the owner must Clear() it when the SEO changes.
   PreparedQueryCache* prepared = nullptr;
-
-  /// Join strategy: the holistic structural join (tax::TwigJoiner) builds
-  /// per-document posting lists once and merges them per pair, instead of
-  /// materializing a product tree per document pair. Answers are
-  /// byte-identical either way (golden-tested); this switch exists for A/B
-  /// comparison and as an escape hatch. Joins outside the engine's envelope
-  /// fall back to the pairwise path automatically.
-  bool use_twig_join = true;
-
-  /// Cross-document posting-key value index (tax::TwigValueFilter): for
-  /// twig joins whose residue is a single cross-tree ~ atom, precompute
-  /// per-document join-key value sets and skip document pairs that share
-  /// no similarity-compatible values. Answers are byte-identical with the
-  /// filter on or off (it only skips provably-redundant pair merges);
-  /// the switch exists for A/B comparison.
-  bool use_join_value_index = true;
 };
 
 class QueryExecutor {
@@ -144,7 +125,8 @@ class QueryExecutor {
   //
   // service::TossService routes every QueryRequest through these. `parent`
   // (optional) attaches the per-phase trace spans to a caller-owned trace
-  // (EXPLAIN ANALYZE is: pass a root span, render trace->Pretty()).
+  // (EXPLAIN ANALYZE is: pass a root span, render trace->Pretty());
+  // `parent == nullptr` disables every span for the cost of one branch.
 
   /// sigma_{P,SL} over one collection.
   Result<tax::TreeCollection> Select(const std::string& collection,
@@ -204,41 +186,26 @@ class QueryExecutor {
                               const tax::PatternTree& pattern) const;
 
  private:
-  // The *Impl functions are the single code path behind every entry point;
-  // `parent == nullptr` disables every span for the cost of one branch
-  // (obs::Span's null-parent convention).
-  Result<tax::TreeCollection> SelectImpl(const std::string& collection,
-                                         const tax::PatternTree& pattern,
-                                         const std::vector<int>& sl,
-                                         const QueryOptions& options,
-                                         ExecStats* stats,
-                                         obs::Span* parent) const;
-  Result<tax::TreeCollection> ProjectImpl(
-      const std::string& collection, const tax::PatternTree& pattern,
-      const std::vector<tax::ProjectItem>& pl, const QueryOptions& options,
-      ExecStats* stats, obs::Span* parent) const;
-  Result<tax::TreeCollection> GroupByImpl(const std::string& collection,
-                                          const tax::PatternTree& pattern,
-                                          int group_label,
-                                          const std::vector<int>& sl,
-                                          const QueryOptions& options,
-                                          ExecStats* stats,
-                                          obs::Span* parent) const;
-  Result<tax::TreeCollection> JoinImpl(const std::string& left,
-                                       const std::string& right,
-                                       const tax::PatternTree& pattern,
-                                       const std::vector<int>& sl,
-                                       const QueryOptions& options,
-                                       ExecStats* stats,
-                                       obs::Span* parent) const;
-
   /// Phases (i) + (ii), with the phase (i) rewrite served from
   /// `options.prepared` when possible and the cancel token checked between
-  /// store queries.
+  /// store queries. `other` is the join's other operand (null for the
+  /// single-collection operators).
   Result<std::vector<store::DocId>> CandidateDocs(
-      const store::Collection& coll, const tax::PatternTree& pattern,
-      const std::vector<int>& labels, const QueryOptions& options,
-      ExecStats* stats, obs::Span* parent) const;
+      const store::Collection& coll, const store::Collection* other,
+      const tax::PatternTree& pattern, const std::vector<int>& labels,
+      const QueryOptions& options, ExecStats* stats,
+      obs::Span* parent) const;
+
+  /// Phase (iii) of Select / Project / GroupBy: `eval_tree` maps each
+  /// candidate's decoded tree to a Part (fanned out by RunPerDoc), and
+  /// `merge` combines the parts in document order.
+  template <typename Part, typename EvalTree, typename Merge>
+  Result<tax::TreeCollection> EvalPerDoc(const store::Collection& coll,
+                                         const std::vector<store::DocId>& docs,
+                                         const QueryOptions& options,
+                                         ExecStats* stats, obs::Span* parent,
+                                         const EvalTree& eval_tree,
+                                         const Merge& merge) const;
 
   /// Runs fn(0) .. fn(n-1) with a per-index cancellation check -- over the
   /// shared worker pool when `options.parallelism` and `n` warrant it AND

@@ -22,7 +22,6 @@ bool SeoSimilarOracle::Similar(const std::string& x,
 
 bool SeoSimilarOracle::SimilarSym(SymbolId sx, const std::string& x,
                                   SymbolId sy, const std::string& y) const {
-  if (!SymbolFastPathsEnabled()) return Similar(x, y);
   if (sx != kInvalidSymbol && sx == sy) return true;
   if (x == y) return true;
   return SimilarPrepared(PrepSym(sx, x), PrepSym(sy, y));
@@ -53,12 +52,10 @@ tax::PairVerdicts SeoSimilarOracle::FreePairs(
   constexpr uint8_t kSlots =
       tax::PairUniverse::kLhs | tax::PairUniverse::kRhs;
   std::vector<Term> terms;
-  const bool fast = SymbolFastPathsEnabled();
   bool all_sigs = true;
   for (uint32_t i = 0; i < universe.size(); ++i) {
     if ((universe.roles[i] & kSlots) == 0) continue;
-    const Prepared& p = fast ? PrepSym(universe.ids[i], universe.texts[i])
-                             : Prep(universe.texts[i]);
+    const Prepared& p = PrepSym(universe.ids[i], universe.texts[i]);
     all_sigs = all_sigs && p.has_sig;
     terms.push_back(Term{i, p.sig.length, &p});
   }

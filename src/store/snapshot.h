@@ -27,8 +27,7 @@
 // sibling of the generation directories), and Open replays it over the
 // loaded generation. <start-seq> is the sequence number the log's first
 // record must carry; an absent file is an empty log. Generations written
-// by a plain Save (or the legacy format) have no wal line and replay
-// nothing.
+// by a plain Save have no wal line and replay nothing.
 //
 // The symbols line names a sidecar term-dictionary file (<count> %-escaped
 // terms, one per line) holding every tag/content term of the snapshot's

@@ -55,28 +55,19 @@ bool ExactTagLiteral(const Condition& atom, int* label, std::string* tag) {
 
 class Enumerator {
  public:
+  /// Full enumeration when `subset` is null. Otherwise partial-match mode:
+  /// assigns only `subset` (ascending pattern indexes forming the subtree
+  /// of subset[0]) and collects image tuples instead of running the final
+  /// condition check. Candidates are tag-filtered whenever the tree's tag
+  /// index allows it.
   Enumerator(const PatternTree& pattern, const DataTree& tree,
              const ConditionSemantics& semantics,
-             const EmbeddingOptions& options)
-      : pattern_(pattern), tree_(tree), semantics_(semantics) {
-    prefilters_ = CollectConjunctivePrefilters(pattern.condition());
-    if (options.use_tag_index && tree.TagFilterable()) {
-      tag_filters_ = CollectConjunctiveTagFilters(pattern.condition());
-      BuildIdFilters();
-    }
-  }
-
-  /// Partial-match mode: assigns only `subset` (ascending pattern indexes
-  /// forming the subtree of subset[0]) and collects image tuples instead of
-  /// running the final condition check. Tag filtering is always on -- the
-  /// join engine only targets filterable trees.
-  Enumerator(const PatternTree& pattern, const std::vector<size_t>& subset,
-             bool head_must_be_root, const DataTree& tree,
-             const ConditionSemantics& semantics)
+             const std::vector<size_t>* subset = nullptr,
+             bool head_must_be_root = false)
       : pattern_(pattern),
         tree_(tree),
         semantics_(semantics),
-        subset_(&subset),
+        subset_(subset),
         head_must_be_root_(head_must_be_root) {
     prefilters_ = CollectConjunctivePrefilters(pattern.condition());
     if (tree.TagFilterable()) {
@@ -111,7 +102,7 @@ class Enumerator {
   /// an entry can therefore legitimately be empty (only '*' tags remain
   /// candidates).
   void BuildIdFilters() {
-    if (!tree_.HasSymbolIds() || !SymbolFastPathsEnabled()) return;
+    if (!tree_.HasSymbolIds()) return;
     Interner& interner = Interner::Global();
     for (const auto& [label, tags] : tag_filters_) {
       std::vector<SymbolId> ids;
@@ -403,22 +394,16 @@ Result<std::vector<std::vector<NodeId>>> FindPartialMatches(
     }
   }
   std::sort(subset.begin(), subset.end());
-  return Enumerator(pattern, subset, options.head_must_be_root, tree,
-                    semantics)
+  return Enumerator(pattern, tree, semantics, &subset,
+                    options.head_must_be_root)
       .RunPartial();
 }
 
 Result<std::vector<Embedding>> FindEmbeddings(
     const PatternTree& pattern, const DataTree& tree,
     const ConditionSemantics& semantics) {
-  return FindEmbeddings(pattern, tree, semantics, EmbeddingOptions{});
-}
-
-Result<std::vector<Embedding>> FindEmbeddings(
-    const PatternTree& pattern, const DataTree& tree,
-    const ConditionSemantics& semantics, const EmbeddingOptions& options) {
   TOSS_RETURN_NOT_OK(pattern.Validate());
-  return Enumerator(pattern, tree, semantics, options).Run();
+  return Enumerator(pattern, tree, semantics).Run();
 }
 
 DataTree BuildWitnessTree(const PatternTree& pattern, const DataTree& tree,

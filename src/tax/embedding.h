@@ -39,21 +39,11 @@ struct Embedding {
   LabelMap mapping;
 };
 
-struct EmbeddingOptions {
-  /// Seed / filter candidates through the tree's tag index when available.
-  /// Disabled only by tests that compare against the naive enumeration.
-  bool use_tag_index = true;
-};
-
 /// Enumerates all embeddings of `pattern` into `tree` whose witness
 /// satisfies the pattern's condition under `semantics`.
 Result<std::vector<Embedding>> FindEmbeddings(
     const PatternTree& pattern, const DataTree& tree,
     const ConditionSemantics& semantics);
-
-Result<std::vector<Embedding>> FindEmbeddings(
-    const PatternTree& pattern, const DataTree& tree,
-    const ConditionSemantics& semantics, const EmbeddingOptions& options);
 
 /// Builds the witness tree induced by `h`. Data subtrees of nodes
 /// h(l), l in `expand_labels`, are included wholesale (selection's SL

@@ -92,9 +92,7 @@ class SimilarOracle {
   /// term whose id is unknown.
   virtual bool SimilarSym(SymbolId sx, const std::string& x, SymbolId sy,
                           const std::string& y) const {
-    if (SymbolFastPathsEnabled() && sx != kInvalidSymbol && sx == sy) {
-      return true;
-    }
+    if (sx != kInvalidSymbol && sx == sy) return true;
     return Similar(x, y);
   }
 
@@ -125,10 +123,7 @@ class ExactSimilarOracle final : public SimilarOracle {
 
   bool SimilarSym(SymbolId sx, const std::string& x, SymbolId sy,
                   const std::string& y) const override {
-    if (SymbolFastPathsEnabled() && sx != kInvalidSymbol &&
-        sy != kInvalidSymbol) {
-      return sx == sy;
-    }
+    if (sx != kInvalidSymbol && sy != kInvalidSymbol) return sx == sy;
     return x == y;
   }
 

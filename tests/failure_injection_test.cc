@@ -193,8 +193,10 @@ TEST_F(CorruptStoreTest, AllGenerationsCorruptIsIOErrorListingReasons) {
   EXPECT_NE(st.message().find("gen-1"), std::string::npos) << st;
 }
 
-TEST_F(CorruptStoreTest, LegacyFormatReadableAndMigratedBySave) {
-  // Hand-write a pre-generational directory (manifest.txt + _keys.txt).
+TEST_F(CorruptStoreTest, LegacyOnlyDirectoryFailsNamingTheFormat) {
+  // A pre-generational directory (manifest.txt + _keys.txt) is no longer
+  // read: Open fails with a typed error that names the format instead of
+  // reporting a missing snapshot.
   fs::path legacy = fs::temp_directory_path() / "toss_failure_legacy";
   fs::remove_all(legacy);
   fs::create_directories(legacy / "dblp");
@@ -204,30 +206,18 @@ TEST_F(CorruptStoreTest, LegacyFormatReadableAndMigratedBySave) {
     std::ofstream(legacy / "dblp" / "000000.xml") << "<a><b>x</b></a>";
     std::ofstream(legacy / "dblp" / "000001.xml") << "<c/>";
   }
-  store::RecoveryReport report;
-  auto db = store::Database::Open(legacy.string(), store::Env::Default(),
-                                  &report);
-  ASSERT_TRUE(db.ok()) << db.status();
-  EXPECT_TRUE(report.used_legacy_format);
-  EXPECT_EQ(report.loaded_generation, "legacy");
-  auto coll = db->GetCollection("dblp");
-  ASSERT_TRUE(coll.ok());
-  EXPECT_EQ((*coll)->size(), 2u);
-  EXPECT_TRUE((*coll)->FindKey("k1").ok());
-
-  // One re-save migrates forward: checksummed generation, legacy pointer
-  // gone, and the reopened store no longer reports legacy.
-  ASSERT_TRUE(db->Save(legacy.string()).ok());
-  EXPECT_FALSE(fs::exists(legacy / "manifest.txt"));
-  store::RecoveryReport migrated;
-  auto db2 = store::Database::Open(legacy.string(), store::Env::Default(),
-                                   &migrated);
-  ASSERT_TRUE(db2.ok()) << db2.status();
-  EXPECT_FALSE(migrated.used_legacy_format);
-  EXPECT_EQ(migrated.loaded_generation, "gen-1");
-  auto coll2 = db2->GetCollection("dblp");
-  ASSERT_TRUE(coll2.ok());
-  EXPECT_EQ((*coll2)->size(), 2u);
+  auto st = store::Database::Open(legacy.string()).status();
+  EXPECT_TRUE(st.IsUnsupported()) << st;
+  EXPECT_NE(st.message().find("manifest.txt"), std::string::npos) << st;
+  EXPECT_NE(st.message().find("pre-generational"), std::string::npos) << st;
+  // The durable open refuses too, and leaves the old files alone rather
+  // than bootstrapping an empty database over them.
+  EXPECT_TRUE(store::Database::OpenDurable(legacy.string(),
+                                           store::Env::Default())
+                  .status()
+                  .IsUnsupported());
+  EXPECT_TRUE(fs::exists(legacy / "manifest.txt"));
+  EXPECT_FALSE(fs::exists(legacy / store::kCurrentFileName));
   fs::remove_all(legacy);
 }
 

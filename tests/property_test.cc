@@ -380,8 +380,6 @@ tax::PatternTree RandomTagPattern(Random* rng, int* num_labels) {
 TEST(PropertyTest, TagIndexedEmbeddingsMatchNaiveEnumeration) {
   Random rng(1013);
   tax::TaxSemantics sem;
-  tax::EmbeddingOptions naive;
-  naive.use_tag_index = false;
   size_t nonempty = 0;
   for (int trial = 0; trial < 150; ++trial) {
     tax::DataTree t = RandomTaggedTree(&rng, 14);
@@ -396,8 +394,23 @@ TEST(PropertyTest, TagIndexedEmbeddingsMatchNaiveEnumeration) {
     ASSERT_TRUE(t.TagFilterable());
     int num_labels = 0;
     tax::PatternTree p = RandomTagPattern(&rng, &num_labels);
+    // The naive enumeration runs on an index-free copy with the same node
+    // ids: rebuilt node by node in id order (parents precede children, and
+    // sibling order is id order), with no tag index or symbol ids to seed
+    // or filter candidates from.
+    const tax::DataTree& src = t;
+    tax::DataTree copy;
+    for (tax::NodeId v = 0; v < src.size(); ++v) {
+      const tax::DataNode& n = src.node(v);
+      if (v == 0) {
+        copy.CreateRoot(n.tag, n.content);
+      } else {
+        copy.AppendChild(n.parent, n.tag, n.content);
+      }
+    }
+    ASSERT_FALSE(copy.has_tag_index());
     auto indexed = tax::FindEmbeddings(p, t, sem);
-    auto plain = tax::FindEmbeddings(p, t, sem, naive);
+    auto plain = tax::FindEmbeddings(p, copy, sem);
     ASSERT_TRUE(indexed.ok()) << indexed.status();
     ASSERT_TRUE(plain.ok()) << plain.status();
     ASSERT_EQ(indexed->size(), plain->size()) << p.condition().ToString();

@@ -5,6 +5,7 @@
 #include "core/toss.h"
 
 #include "eval/metrics.h"
+#include "reference_eval.h"
 #include "xml/xml_writer.h"
 
 namespace toss::core {
@@ -367,8 +368,12 @@ TEST_F(QueryExecutorTest, TracedSelectAnnotatesThePhases) {
   EXPECT_FALSE(annotation(*root.children[1], "index_pruning_ratio").empty());
   EXPECT_EQ(annotation(*root.children[2], "result_trees"),
             std::to_string(stats.result_trees));
-  // Decoded-tree cache deltas are recorded on the eval phase.
-  EXPECT_FALSE(annotation(*root.children[2], "tree_cache_misses").empty());
+  EXPECT_EQ(annotation(*root.children[2], "docs_evaluated"),
+            std::to_string(stats.candidate_docs));
+  // The decoded-tree cache is collection-wide (shared by concurrent
+  // requests), so no per-request cache annotation is recorded.
+  EXPECT_TRUE(annotation(*root.children[2], "tree_cache_hits").empty());
+  EXPECT_TRUE(annotation(*root.children[2], "tree_cache_misses").empty());
 }
 
 TEST_F(QueryExecutorTest, TracedProjectAndGroupByMatchPlainExecute) {
@@ -440,41 +445,35 @@ TEST_F(QueryExecutorTest, TracedJoinMatchesPlainExecute) {
                                       "decode_right", "eval"}));
 }
 
-TEST_F(QueryExecutorTest, OperatorsInvariantUnderSymbolFastPaths) {
-  // Select / Project / GroupBy answers must be byte-identical with the
-  // interner's id comparison fast paths disabled: ids accelerate term
-  // equality and ~, they never change it. Covers TAX (exact ~) and TOSS
-  // (ontology + measure ~) semantics.
+TEST_F(QueryExecutorTest, OperatorsMatchTheReferenceEvaluator) {
+  // Select / Project / GroupBy answers must be byte-identical to the
+  // reference evaluator's, which scans every document as a plain tree (no
+  // index planning, no tag index, no symbol ids). Covers TAX (exact ~) and
+  // TOSS (ontology + measure ~) semantics.
   QueryExecutor tax_exec(&db_, nullptr, nullptr);
   QueryExecutor toss_exec(&db_, &seo_, &types_);
-  struct Run {
-    std::vector<std::string> select, project, group;
-  };
-  auto run_all = [&](const QueryExecutor& exec) {
-    Run out;
-    auto s = exec.Select("dblp", UllmanAtSigmod(), {1}, kOpts);
-    EXPECT_TRUE(s.ok()) << s.status();
-    if (s.ok()) out.select = Serialize(*s);
-    auto p = exec.Project("dblp", UllmanAtSigmod(), {{2, false}}, kOpts);
-    EXPECT_TRUE(p.ok()) << p.status();
-    if (p.ok()) out.project = Serialize(*p);
-    auto g = exec.GroupBy("dblp", UllmanAtSigmod(), 3, {1}, kOpts);
-    EXPECT_TRUE(g.ok()) << g.status();
-    if (g.ok()) out.group = Serialize(*g);
-    return out;
-  };
   for (QueryExecutor* exec : {&tax_exec, &toss_exec}) {
-    SetSymbolFastPaths(true);
-    Run fast = run_all(*exec);
-    SetSymbolFastPaths(false);
-    Run slow = run_all(*exec);
-    SetSymbolFastPaths(true);
-    EXPECT_EQ(fast.select, slow.select);
-    EXPECT_EQ(fast.project, slow.project);
-    EXPECT_EQ(fast.group, slow.group);
-    EXPECT_FALSE(fast.select.empty());
-    EXPECT_FALSE(fast.project.empty());
-    EXPECT_FALSE(fast.group.empty());
+    reference::ReferenceEvaluator ref(&db_, &exec->semantics());
+    auto s = exec->Select("dblp", UllmanAtSigmod(), {1}, kOpts);
+    auto rs = ref.Select("dblp", UllmanAtSigmod(), {1});
+    ASSERT_TRUE(s.ok()) << s.status();
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    EXPECT_EQ(reference::Keys(*s), reference::Keys(*rs));
+    EXPECT_FALSE(s->empty());
+
+    auto p = exec->Project("dblp", UllmanAtSigmod(), {{2, false}}, kOpts);
+    auto rp = ref.Project("dblp", UllmanAtSigmod(), {{2, false}});
+    ASSERT_TRUE(p.ok()) << p.status();
+    ASSERT_TRUE(rp.ok()) << rp.status();
+    EXPECT_EQ(reference::Keys(*p), reference::Keys(*rp));
+    EXPECT_FALSE(p->empty());
+
+    auto g = exec->GroupBy("dblp", UllmanAtSigmod(), 3, {1}, kOpts);
+    auto rg = ref.GroupBy("dblp", UllmanAtSigmod(), 3, {1});
+    ASSERT_TRUE(g.ok()) << g.status();
+    ASSERT_TRUE(rg.ok()) << rg.status();
+    EXPECT_EQ(reference::Keys(*g), reference::Keys(*rg));
+    EXPECT_FALSE(g->empty());
   }
 }
 

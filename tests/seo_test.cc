@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 
+#include "common/interner.h"
 #include "core/seo.h"
+#include "core/seo_oracle.h"
 #include "lexicon/lexicon.h"
 #include "ontology/ontology_maker.h"
 #include "sim/measure_registry.h"
+#include "tax/condition.h"
+#include "tax/tax_semantics.h"
+#include "tax/twig_join.h"
 #include "xml/xml_parser.h"
 
 namespace toss::core {
@@ -165,6 +171,128 @@ TEST(SeoBuilderTest, MultiInstanceFusionWithConstraints) {
   const auto* partof = seo->EnhancedHierarchy(ontology::kPartOf);
   ASSERT_NE(partof, nullptr);
   EXPECT_EQ(partof->FindTerm("booktitle"), partof->FindTerm("conference"));
+}
+
+
+// --- Id-aware verdicts against their text-only counterparts ----------------
+//
+// Every *Sym entry point may use interned ids to decide faster; none may
+// decide differently. Random term pairs mix ontology terms, near misses,
+// case variants, '*' globs and unknown words, and give each side either
+// its interned id or kInvalidSymbol.
+
+class SymbolVerdictPropertyTest : public ::testing::Test {
+ protected:
+  struct Term {
+    std::string text;
+    SymbolId id;
+  };
+
+  static std::vector<std::string> Vocabulary(const Seo& seo) {
+    std::vector<std::string> words = {
+        "", "*", "Jeff*", "*Ullman*", "*SIGMOD*", "J. Ullman",
+        "jeffrey ullman", "Mauro Ferari", "SIGMOD Conf", "zzzz", "zzzx",
+        "publication", "conference", "inproceedings", "author"};
+    for (const char* rel : {ontology::kIsa, ontology::kPartOf}) {
+      for (const std::string& t : seo.EnhancedHierarchy(rel)->AllTerms()) {
+        words.push_back(t);
+        if (t.size() > 2) words.push_back(t.substr(1));  // near miss
+      }
+    }
+    return words;
+  }
+
+  /// `draws` random pairs over the vocabulary; each side carries its id
+  /// or kInvalidSymbol with equal odds.
+  static std::vector<std::pair<Term, Term>> Pairs(const Seo& seo,
+                                                  size_t draws) {
+    const std::vector<std::string> words = Vocabulary(seo);
+    std::mt19937 rng(20260);
+    auto term = [&] {
+      const std::string& w = words[std::uniform_int_distribution<size_t>(
+          0, words.size() - 1)(rng)];
+      const bool with_id = std::uniform_int_distribution<int>(0, 1)(rng);
+      return Term{w, with_id ? Interner::Global().Intern(w) : kInvalidSymbol};
+    };
+    std::vector<std::pair<Term, Term>> out;
+    for (size_t i = 0; i < draws; ++i) out.emplace_back(term(), term());
+    return out;
+  }
+};
+
+TEST_F(SymbolVerdictPropertyTest, SeoSymMatchesTextVerdicts) {
+  for (double epsilon : {2.0, 3.0}) {
+    Seo seo = BuildSeo(epsilon);
+    seo.WarmCaches();  // builds the symbol-keyed term index
+    size_t similar = 0, leq = 0;
+    for (const auto& [x, y] : Pairs(seo, 4000)) {
+      const bool want = seo.Similar(x.text, y.text);
+      EXPECT_EQ(seo.SimilarSym(x.id, x.text, y.id, y.text), want)
+          << "'" << x.text << "' ~ '" << y.text << "'";
+      similar += want ? 1 : 0;
+      for (const char* rel : {ontology::kIsa, ontology::kPartOf}) {
+        const bool below = seo.Leq(rel, x.text, y.text);
+        EXPECT_EQ(seo.LeqSym(rel, x.id, x.text, y.id, y.text), below)
+            << rel << ": '" << x.text << "' <= '" << y.text << "'";
+        leq += below ? 1 : 0;
+      }
+    }
+    EXPECT_GT(similar, 0u);
+    EXPECT_GT(leq, 0u);
+  }
+}
+
+TEST_F(SymbolVerdictPropertyTest, OraclesSymMatchTextVerdicts) {
+  Seo seo = BuildSeo(3.0);
+  seo.WarmCaches();
+  SeoSimilarOracle seo_oracle(&seo);
+  tax::ExactSimilarOracle exact;
+  size_t similar = 0, equal = 0;
+  for (const auto& [x, y] : Pairs(seo, 4000)) {
+    const bool want = seo_oracle.Similar(x.text, y.text);
+    EXPECT_EQ(want, seo.Similar(x.text, y.text))
+        << "'" << x.text << "' ~ '" << y.text << "'";
+    EXPECT_EQ(seo_oracle.SimilarSym(x.id, x.text, y.id, y.text), want)
+        << "'" << x.text << "' ~ '" << y.text << "'";
+    EXPECT_EQ(exact.SimilarSym(x.id, x.text, y.id, y.text), x.text == y.text)
+        << "'" << x.text << "' == '" << y.text << "'";
+    similar += want ? 1 : 0;
+    equal += x.text == y.text ? 1 : 0;
+  }
+  EXPECT_GT(similar, 0u);
+  EXPECT_GT(equal, 0u);
+}
+
+TEST_F(SymbolVerdictPropertyTest, SymbolEqualityMatchesTextComparison) {
+  Seo seo = BuildSeo(2.0);
+  size_t decided_text = 0, decided_glob = 0, glob_matches = 0;
+  auto value = [](const Term& t) {
+    tax::TermValue v;
+    v.text = t.text;
+    v.type = tax::kStringType;
+    v.symbol = t.id;
+    return v;
+  };
+  for (const auto& [x, y] : Pairs(seo, 4000)) {
+    const tax::TermValue vx = value(x), vy = value(y);
+    if (auto eq = tax::SymbolTextEquality(vx, vy)) {
+      EXPECT_EQ(*eq, x.text == y.text)
+          << "'" << x.text << "' vs '" << y.text << "'";
+      ++decided_text;
+    }
+    auto glob = tax::CompareValues(x.text, tax::CondOp::kEq, y.text);
+    ASSERT_TRUE(glob.ok());
+    glob_matches += (*glob && x.text != y.text) ? 1 : 0;
+    if (auto eq = tax::SymbolGlobEquality(vx, vy)) {
+      EXPECT_EQ(*eq, *glob) << "'" << x.text << "' vs '" << y.text << "'";
+      ++decided_glob;
+    }
+  }
+  // Both fast paths decide some pairs, and the draws include real glob
+  // matches between distinct texts (which ids alone must not decide).
+  EXPECT_GT(decided_text, 0u);
+  EXPECT_GT(decided_glob, 0u);
+  EXPECT_GT(glob_matches, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // The structural (twig) join engine, three ways:
 //   1. Unit tests of tax::TwigJoiner itself -- postings, pruning, the
 //      stack-based merge, cancellation.
-//   2. Golden executor tests: use_twig_join on vs. off must produce
-//      byte-identical answers in identical order, under TAX and TOSS.
+//   2. Golden executor tests: executor joins must produce byte-identical
+//      answers in identical order to the reference evaluator
+//      (reference_eval.h), under TAX and TOSS.
 //   3. Randomized property tests: seeded random corpora and patterns
 //      (ad edges, Or conditions, unpinned roots, root in the selection
-//      list) through both engines.
+//      list) against the same reference.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +14,13 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/seo_oracle.h"
 #include "core/toss.h"
+#include "reference_eval.h"
 #include "tax/tax_semantics.h"
 #include "tax/twig_join.h"
 #include "xml/xml_parser.h"
@@ -201,7 +204,7 @@ TEST_F(TwigJoinerTest, PruneFiltersExposeThePinnedTags) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden executor comparisons (twig vs. pairwise)
+// Golden executor comparisons (executor vs. reference evaluator)
 // ---------------------------------------------------------------------------
 
 class TwigGoldenTest : public ::testing::Test {
@@ -277,20 +280,18 @@ class TwigGoldenTest : public ::testing::Test {
     types_ = core::MakeBibliographicTypeSystem();
   }
 
-  /// Runs the join under both engines and requires byte-identical output
-  /// in identical order (or the identical error). Returns the answer size.
-  size_t ExpectEngineEquivalence(const core::QueryExecutor& exec,
-                                 const tax::PatternTree& pt,
-                                 const std::vector<int>& sl) {
-    core::QueryOptions twig;
-    twig.use_twig_join = true;
-    core::QueryOptions pairwise;
-    pairwise.use_twig_join = false;
-    auto a = exec.Join("dblp", "sigmod", pt, sl, twig);
-    auto b = exec.Join("dblp", "sigmod", pt, sl, pairwise);
+  /// Runs the join through the executor and the reference evaluator and
+  /// requires byte-identical output in identical order (or errors on
+  /// both). Returns the answer size.
+  size_t ExpectMatchesReference(const core::QueryExecutor& exec,
+                                const tax::PatternTree& pt,
+                                const std::vector<int>& sl) {
+    reference::ReferenceEvaluator ref(&db_, &exec.semantics());
+    auto a = exec.Join("dblp", "sigmod", pt, sl, core::QueryOptions{});
+    auto b = ref.Join("dblp", "sigmod", pt, sl);
     EXPECT_EQ(a.ok(), b.ok()) << a.status() << " vs " << b.status();
     if (!a.ok() || !b.ok()) return 0;
-    EXPECT_EQ(Serialize(*a), Serialize(*b));
+    EXPECT_EQ(reference::Keys(*a), reference::Keys(*b));
     return a->size();
   }
 
@@ -307,8 +308,8 @@ TEST_F(TwigGoldenTest, Fig16StylePatternUnderTaxAndToss) {
       "$3.content ~ $5.content");
   core::QueryExecutor tax_exec(&db_, nullptr, nullptr);
   core::QueryExecutor toss_exec(&db_, &seo_, &types_);
-  size_t tax_n = ExpectEngineEquivalence(tax_exec, pt, {2, 4});
-  size_t toss_n = ExpectEngineEquivalence(toss_exec, pt, {2, 4});
+  size_t tax_n = ExpectMatchesReference(tax_exec, pt, {2, 4});
+  size_t toss_n = ExpectMatchesReference(toss_exec, pt, {2, 4});
   // TOSS's ~ admits "Views"/"Views." on top of TAX's exact "Trees".
   EXPECT_GT(toss_n, tax_n);
   EXPECT_GT(tax_n, 0u);
@@ -320,7 +321,7 @@ TEST_F(TwigGoldenTest, AdEdgesOrConditionsAndUnpinnedRoot) {
       "$3.tag = \"title\" & $5.tag = \"title\" & "
       "($3.content = $5.content | $3.content = \"Trees\")");
   core::QueryExecutor toss_exec(&db_, &seo_, &types_);
-  EXPECT_GT(ExpectEngineEquivalence(toss_exec, pt, {2, 4}), 0u);
+  EXPECT_GT(ExpectMatchesReference(toss_exec, pt, {2, 4}), 0u);
 }
 
 TEST_F(TwigGoldenTest, RootInSelectionListCopiesWholePairs) {
@@ -330,85 +331,40 @@ TEST_F(TwigGoldenTest, RootInSelectionListCopiesWholePairs) {
       "$4.tag = \"article\" & $5.tag = \"title\" & "
       "$3.content = $5.content");
   core::QueryExecutor toss_exec(&db_, &seo_, &types_);
-  EXPECT_GT(ExpectEngineEquivalence(toss_exec, pt, {1}), 0u);
+  EXPECT_GT(ExpectMatchesReference(toss_exec, pt, {1}), 0u);
 }
 
-/// Restores the symbol fast-path switch on scope exit.
-class FastPathGuard {
- public:
-  explicit FastPathGuard(bool enabled) : prev_(SymbolFastPathsEnabled()) {
-    SetSymbolFastPaths(enabled);
-  }
-  ~FastPathGuard() { SetSymbolFastPaths(prev_); }
-
- private:
-  bool prev_;
-};
-
-TEST_F(TwigGoldenTest, AnswersInvariantAcrossFastPathsAndValueIndex) {
-  // The full A/B matrix on the similarity-heavy pattern: {twig, pairwise}
-  // x {symbol fast paths on, off} x {value index on, off} must be
-  // byte-identical -- ids and the cross-document value filter are pure
-  // accelerations.
+TEST_F(TwigGoldenTest, ValueFilteredSimilarityJoinMatchesTheReference) {
+  // The similarity join is inside the value filter's envelope: the filter
+  // is built (traced) and the answer still equals the reference, which has
+  // no filter, no twig engine and no symbol ids.
   tax::PatternTree pt = JoinPattern(
       "$1.tag = \"tax_prod_root\" & "
       "$2.tag = \"inproceedings\" & $3.tag = \"title\" & "
       "$4.tag = \"article\" & $5.tag = \"title\" & "
       "$3.content ~ $5.content");
   core::QueryExecutor toss_exec(&db_, &seo_, &types_);
-  std::vector<std::string> baseline;
-  bool have_baseline = false;
-  for (bool twig : {true, false}) {
-    for (bool fast : {true, false}) {
-      for (bool vindex : {true, false}) {
-        FastPathGuard guard(fast);
-        core::QueryOptions options;
-        options.use_twig_join = twig;
-        options.use_join_value_index = vindex;
-        auto r = toss_exec.Join("dblp", "sigmod", pt, {2, 4}, options);
-        ASSERT_TRUE(r.ok()) << r.status();
-        if (!have_baseline) {
-          baseline = Serialize(*r);
-          have_baseline = true;
-          EXPECT_GT(baseline.size(), 0u);
-        } else {
-          EXPECT_EQ(Serialize(*r), baseline)
-              << "twig=" << twig << " fast=" << fast << " vindex=" << vindex;
-        }
-      }
-    }
+  EXPECT_GT(ExpectMatchesReference(toss_exec, pt, {2, 4}), 0u);
+  obs::Trace trace("join(dblp,sigmod)");
+  {
+    obs::Span root_span = trace.RootSpan();
+    ASSERT_TRUE(toss_exec
+                    .Join("dblp", "sigmod", pt, {2, 4}, core::QueryOptions{},
+                          nullptr, &root_span)
+                    .ok());
   }
+  EXPECT_NE(trace.Pretty().find("built=yes"), std::string::npos)
+      << trace.Pretty();
 }
 
-TEST_F(TwigGoldenTest, ValueFilterSkipsPairsWithoutChangingAnswers) {
-  // On the similarity-join shape the filter is in-envelope: stats must show
-  // value skips once enough incompatible documents exist, and the answer
-  // must match the unfiltered run exactly.
-  tax::PatternTree pt = JoinPattern(
-      "$1.tag = \"tax_prod_root\" & "
-      "$2.tag = \"inproceedings\" & $3.tag = \"title\" & "
-      "$4.tag = \"article\" & $5.tag = \"title\" & "
-      "$3.content ~ $5.content");
-  core::QueryExecutor toss_exec(&db_, &seo_, &types_);
-  core::QueryOptions with;
-  with.use_join_value_index = true;
-  core::QueryOptions without;
-  without.use_join_value_index = false;
-  auto a = toss_exec.Join("dblp", "sigmod", pt, {2, 4}, with);
-  auto b = toss_exec.Join("dblp", "sigmod", pt, {2, 4}, without);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_EQ(Serialize(*a), Serialize(*b));
-}
-
-TEST_F(TwigGoldenTest, NoMatchesStaysEmptyUnderBothEngines) {
+TEST_F(TwigGoldenTest, NoMatchesStaysEmpty) {
   tax::PatternTree pt = JoinPattern(
       "$1.tag = \"tax_prod_root\" & "
       "$2.tag = \"phantom\" & $3.tag = \"title\" & "
       "$4.tag = \"article\" & $5.tag = \"title\" & "
       "$3.content = $5.content");
   core::QueryExecutor toss_exec(&db_, &seo_, &types_);
-  EXPECT_EQ(ExpectEngineEquivalence(toss_exec, pt, {2, 4}), 0u);
+  EXPECT_EQ(ExpectMatchesReference(toss_exec, pt, {2, 4}), 0u);
 }
 
 TEST_F(TwigGoldenTest, CancelledTokenAbortsTheTwigJoin) {
@@ -561,61 +517,19 @@ class TwigPropertyTest : public ::testing::Test {
   store::Database db_;
 };
 
-TEST_F(TwigPropertyTest, RandomPatternsAgreeAcrossEnginesUnderTax) {
+TEST_F(TwigPropertyTest, RandomPatternsMatchTheReferenceUnderTax) {
   core::QueryExecutor exec(&db_, nullptr, nullptr);
+  reference::ReferenceEvaluator ref(&db_, &exec.semantics());
   std::mt19937 rng(777);
   for (int trial = 0; trial < 40; ++trial) {
     auto [pt, sl] = RandomPattern(&rng);
-    core::QueryOptions twig;
-    twig.use_twig_join = true;
-    core::QueryOptions pairwise;
-    pairwise.use_twig_join = false;
-    auto a = exec.Join("lhs", "rhs", pt, sl, twig);
-    auto b = exec.Join("lhs", "rhs", pt, sl, pairwise);
+    auto a = exec.Join("lhs", "rhs", pt, sl, core::QueryOptions{});
+    auto b = ref.Join("lhs", "rhs", pt, sl);
     ASSERT_EQ(a.ok(), b.ok())
         << "trial " << trial << ": " << a.status() << " vs " << b.status();
     if (a.ok()) {
-      EXPECT_EQ(Serialize(*a), Serialize(*b)) << "trial " << trial;
-    }
-  }
-}
-
-TEST_F(TwigPropertyTest, RandomPatternsAgreeAcrossFastPathsAndValueIndex) {
-  // Property form of the A/B matrix: random patterns, random docs; the
-  // pairwise engine with symbol fast paths off is the reference, every
-  // {engine, fast paths, value index} combination must match it.
-  core::QueryExecutor exec(&db_, nullptr, nullptr);
-  std::mt19937 rng(31337);
-  for (int trial = 0; trial < 25; ++trial) {
-    auto [pt, sl] = RandomPattern(&rng);
-    std::optional<std::vector<std::string>> baseline;
-    std::optional<Status> baseline_error;
-    for (bool twig : {false, true}) {
-      for (bool fast : {false, true}) {
-        for (bool vindex : {false, true}) {
-          FastPathGuard guard(fast);
-          core::QueryOptions options;
-          options.use_twig_join = twig;
-          options.use_join_value_index = vindex;
-          auto r = exec.Join("lhs", "rhs", pt, sl, options);
-          if (!baseline.has_value() && !baseline_error.has_value()) {
-            if (r.ok()) {
-              baseline = Serialize(*r);
-            } else {
-              baseline_error = r.status();
-            }
-            continue;
-          }
-          ASSERT_EQ(r.ok(), baseline.has_value())
-              << "trial " << trial << " twig=" << twig << " fast=" << fast
-              << " vindex=" << vindex << ": " << r.status();
-          if (r.ok()) {
-            EXPECT_EQ(Serialize(*r), *baseline)
-                << "trial " << trial << " twig=" << twig << " fast=" << fast
-                << " vindex=" << vindex;
-          }
-        }
-      }
+      EXPECT_EQ(Serialize(*a), Serialize(*b))
+          << "trial " << trial << ": " << pt.condition().ToString();
     }
   }
 }
@@ -775,6 +689,52 @@ class ValueFilterKernelTest : public ::testing::Test {
     }
     return skippable;
   }
+
+  /// The kernel on a hand-built universe whose ids are a random mix of
+  /// interned ids and kInvalidSymbol: FreePairs must return exactly the
+  /// pairs, among those needing a verdict, that the text-only Similar
+  /// accepts, each once. Returns the number of similar pairs.
+  size_t CheckInvalidIdUniverse(const core::Seo& seo, std::mt19937* rng,
+                                const std::vector<std::string>& vocab) {
+    seo.WarmCaches();
+    core::SeoSimilarOracle kernel(&seo);
+    core::SeoSimilarOracle reference(&seo);
+    auto draw = [&](int n) {
+      return std::uniform_int_distribution<int>(0, n - 1)(*rng);
+    };
+    const std::set<std::string> distinct(vocab.begin(), vocab.end());
+    tax::PairUniverse universe;
+    for (const std::string& w : distinct) {
+      universe.ids.push_back(draw(2) == 0 ? Interner::Global().Intern(w)
+                                          : kInvalidSymbol);
+      universe.texts.push_back(w);
+      uint8_t role = kernel.CompatBuckets(w).empty()
+                         ? tax::PairUniverse::kFree
+                         : 0;
+      const int slot = draw(3);  // lhs, rhs, or both
+      if (slot != 1) role |= tax::PairUniverse::kLhs;
+      if (slot != 0) role |= tax::PairUniverse::kRhs;
+      universe.roles.push_back(role);
+    }
+    std::set<std::pair<uint32_t, uint32_t>> expect;
+    for (uint32_t a = 0; a < universe.size(); ++a) {
+      for (uint32_t b = a + 1; b < universe.size(); ++b) {
+        if (universe.NeedsVerdict(a, b) &&
+            reference.Similar(universe.texts[a], universe.texts[b])) {
+          expect.emplace(a, b);
+        }
+      }
+    }
+    std::set<std::pair<uint32_t, uint32_t>> got;
+    for (auto [a, b] : kernel.FreePairs(universe).similar) {
+      if (a > b) std::swap(a, b);
+      EXPECT_TRUE(got.emplace(a, b).second)
+          << "pair reported twice: " << universe.texts[a] << ", "
+          << universe.texts[b];
+    }
+    EXPECT_EQ(got, expect);
+    return expect.size();
+  }
 };
 
 TEST_F(ValueFilterKernelTest, MatchesBruteForceClosureAcrossMeasures) {
@@ -783,12 +743,13 @@ TEST_F(ValueFilterKernelTest, MatchesBruteForceClosureAcrossMeasures) {
   const char* kMeasures[] = {"levenshtein", "damerau", "ci-levenshtein",
                              "jaro", ""};
   std::mt19937 rng(2024);
-  size_t skippable = 0, bucketed = 0, free_terms = 0;
+  size_t skippable = 0, bucketed = 0, free_terms = 0, similar = 0;
   for (const char* measure : kMeasures) {
     int seos_built = 0;
     for (double epsilon : {0.0, 1.0, 2.0, 3.0}) {
-      for (bool fast : {true, false}) {
-        FastPathGuard guard(fast);
+      // Documents carry valid ids; the hand-built universes mix in
+      // kInvalidSymbol, which sends the kernel down its text path.
+      for (bool doc_ids : {true, false}) {
         std::vector<std::string> vocab(40);
         for (auto& w : vocab) w = RandomWord(&rng);
         // The first dozen words (before dedup) join the ontology.
@@ -798,13 +759,17 @@ TEST_F(ValueFilterKernelTest, MatchesBruteForceClosureAcrossMeasures) {
         ++seos_built;
         SCOPED_TRACE(std::string("measure=") + measure +
                      " epsilon=" + std::to_string(epsilon) +
-                     " fast=" + std::to_string(fast));
+                     " doc_ids=" + std::to_string(doc_ids));
         core::SeoSimilarOracle probe(&*seo);
         for (const auto& w : vocab) {
           (probe.CompatBuckets(w).empty() ? free_terms : bucketed) += 1;
         }
         for (int round = 0; round < 3; ++round) {
-          skippable += CheckOneUniverse(*seo, &rng, vocab);
+          if (doc_ids) {
+            skippable += CheckOneUniverse(*seo, &rng, vocab);
+          } else {
+            similar += CheckInvalidIdUniverse(*seo, &rng, vocab);
+          }
         }
       }
     }
@@ -814,6 +779,7 @@ TEST_F(ValueFilterKernelTest, MatchesBruteForceClosureAcrossMeasures) {
   EXPECT_GT(bucketed, 0u);
   EXPECT_GT(free_terms, 0u);
   EXPECT_GT(skippable, 0u);
+  EXPECT_GT(similar, 0u);
 }
 
 // ---------------------------------------------------------------------------
