@@ -7,6 +7,7 @@
 #include <set>
 #include <utility>
 
+#include "common/scheduler.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/seo_oracle.h"
@@ -95,6 +96,20 @@ void EndEval(obs::Span* eval_span, const Timer& timer, size_t docs_evaluated,
   EndPhase(eval_span, timer, m.eval_ns, stats, &ExecStats::eval_ms);
   m.result_trees.Add(result.size());
   if (stats != nullptr) stats->result_trees += result.size();
+}
+
+/// Records on `span` how many threads ran one of its fanned-out loops.
+void AnnotateWorkers(obs::Span* span, size_t workers) {
+  if (span != nullptr && span->enabled()) {
+    span->Annotate("workers", static_cast<uint64_t>(workers));
+  }
+}
+
+/// tax::MergeDedup under the request's fan-out cap.
+auto MergeWithin(const QueryOptions& options) {
+  return [width = options.parallelism](std::vector<tax::TreeCollection> parts) {
+    return tax::MergeDedup(std::move(parts), width);
+  };
 }
 
 /// Single-label atoms in conjunctive context, grouped by label (the only
@@ -243,11 +258,8 @@ std::vector<store::DocId> IntersectSorted(const std::vector<store::DocId>& a,
 }  // namespace
 
 QueryExecutor::QueryExecutor(const store::Database* db, const Seo* seo,
-                             const TypeSystem* types,
-                             size_t default_parallelism)
+                             const TypeSystem* types)
     : db_(db), seo_(seo), types_(types), seo_semantics_(seo, types) {
-  parallelism_.store(std::max<size_t>(1, default_parallelism),
-                     std::memory_order_relaxed);
   // Freeze the shared read-only state up front: reachability closures are
   // built lazily on first use, so warming here means concurrent queries
   // only ever read them.
@@ -262,34 +274,22 @@ QueryExecutor::QueryExecutor(const store::Database* db, const Seo* seo,
 
 QueryExecutor::~QueryExecutor() = default;
 
-void QueryExecutor::SetParallelism(size_t threads) {
-  parallelism_.store(std::max<size_t>(1, threads),
-                     std::memory_order_relaxed);
-}
-
 Status QueryExecutor::RunPerDoc(size_t n,
                                 const std::function<Status(size_t)>& fn,
-                                const QueryOptions& options) const {
+                                const QueryOptions& options, obs::Span* span,
+                                size_t* workers) const {
   const CancelToken* cancel = options.cancel;
-  auto task = [&fn, cancel](size_t i) -> Status {
-    TOSS_RETURN_NOT_OK(CheckCancel(cancel));
-    return fn(i);
-  };
-  if (options.parallelism > 1 && n >= 2) {
-    // One fan-out at a time: the query that claims the pool parallelizes,
-    // concurrent ones run inline rather than queueing behind it.
-    std::unique_lock<std::mutex> claim(pool_mu_, std::try_to_lock);
-    if (claim.owns_lock()) {
-      if (pool_ == nullptr || pool_->thread_count() != options.parallelism) {
-        pool_ = std::make_unique<WorkerPool>(options.parallelism);
-      }
-      return pool_->ParallelFor(n, task);
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    TOSS_RETURN_NOT_OK(task(i));
-  }
-  return Status::OK();
+  size_t used = 1;
+  Status st = Scheduler::Global().ParallelFor(
+      n,
+      [&fn, cancel](size_t i) -> Status {
+        TOSS_RETURN_NOT_OK(CheckCancel(cancel));
+        return fn(i);
+      },
+      options.parallelism, &used);
+  AnnotateWorkers(span, used);
+  if (workers != nullptr) *workers = used;
+  return st;
 }
 
 const tax::ConditionSemantics& QueryExecutor::semantics() const {
@@ -576,7 +576,7 @@ Result<tax::TreeCollection> QueryExecutor::EvalPerDoc(
         TOSS_ASSIGN_OR_RETURN(parts[i], eval_tree(*tree));
         return Status::OK();
       },
-      options));
+      options, &eval_span));
   tax::TreeCollection result = merge(std::move(parts));
   EndEval(&eval_span, timer, docs.size(), result, stats);
   return result;
@@ -598,7 +598,7 @@ Result<tax::TreeCollection> QueryExecutor::Select(
       [&](const tax::DataTree& tree) {
         return tax::SelectTree(tree, pattern, expand, semantics());
       },
-      tax::MergeDedup);
+      MergeWithin(options));
 }
 
 Result<tax::TreeCollection> QueryExecutor::Project(
@@ -616,7 +616,7 @@ Result<tax::TreeCollection> QueryExecutor::Project(
       [&](const tax::DataTree& tree) {
         return tax::ProjectTree(tree, pattern, pl, semantics());
       },
-      tax::MergeDedup);
+      MergeWithin(options));
 }
 
 Result<tax::TreeCollection> QueryExecutor::GroupBy(
@@ -664,20 +664,51 @@ Result<tax::TreeCollection> QueryExecutor::Join(
   SubtreeLabels(pattern, pattern.node(0).children[0], &left_labels);
   SubtreeLabels(pattern, pattern.node(0).children[1], &right_labels);
 
+  // Phases (i) + (ii) of the two operands run side by side. Each side
+  // tallies into its own ExecStats; errors surface left first, as they
+  // would sequentially.
   std::vector<store::DocId> ldocs, rdocs;
   {
     obs::Span lspan(parent, "candidates_left");
-    TOSS_ASSIGN_OR_RETURN(
-        ldocs,
-        CandidateDocs(*lcoll, rcoll, pattern, left_labels, options, stats,
-                      &lspan));
-  }
-  {
     obs::Span rspan(parent, "candidates_right");
-    TOSS_ASSIGN_OR_RETURN(
-        rdocs,
-        CandidateDocs(*rcoll, lcoll, pattern, right_labels, options, stats,
-                      &rspan));
+    struct Side {
+      const store::Collection* coll;
+      const store::Collection* other;
+      const std::vector<int>* labels;
+      obs::Span* span;
+      std::vector<store::DocId>* docs;
+      ExecStats stats;
+      Status status;
+    };
+    Side sides[2] = {{lcoll, rcoll, &left_labels, &lspan, &ldocs, {}, {}},
+                     {rcoll, lcoll, &right_labels, &rspan, &rdocs, {}, {}}};
+    (void)Scheduler::Global().ParallelFor(
+        2,
+        [&](size_t i) -> Status {
+          Side& s = sides[i];
+          Result<std::vector<store::DocId>> r =
+              CandidateDocs(*s.coll, s.other, pattern, *s.labels, options,
+                            &s.stats, s.span);
+          s.span->End();
+          if (r.ok()) {
+            *s.docs = std::move(r).value();
+          } else {
+            s.status = r.status();
+          }
+          return Status::OK();
+        },
+        options.parallelism);
+    for (const Side& side : sides) {
+      if (stats == nullptr) break;
+      stats->rewrite_ms += side.stats.rewrite_ms;
+      stats->store_ms += side.stats.store_ms;
+      stats->xpath_queries += side.stats.xpath_queries;
+      stats->expanded_terms += side.stats.expanded_terms;
+      stats->candidate_docs += side.stats.candidate_docs;
+      stats->prepared_cache_hits += side.stats.prepared_cache_hits;
+    }
+    TOSS_RETURN_NOT_OK(sides[0].status);
+    TOSS_RETURN_NOT_OK(sides[1].status);
   }
 
   Timer timer;
@@ -739,7 +770,7 @@ Result<tax::TreeCollection> QueryExecutor::Join(
                                 joiner->Prepare(rtrees[i], &tstats));
           return Status::OK();
         },
-        options));
+        options, &decode_span));
     use_twig = std::all_of(rtwig.begin(), rtwig.end(),
                            [](const tax::TwigDoc& d) { return d.supported; });
   }
@@ -765,7 +796,7 @@ Result<tax::TreeCollection> QueryExecutor::Join(
               joiner->Prepare(lcoll->DecodedTree(ldocs[i]), &tstats));
           return Status::OK();
         },
-        options));
+        options, &postings_span));
     if (postings_span.enabled()) {
       postings_span.Annotate(
           "postings_built",
@@ -798,13 +829,14 @@ Result<tax::TreeCollection> QueryExecutor::Join(
       all_docs.reserve(ltwig.size() + rtwig.size());
       for (auto& d : ltwig) all_docs.push_back(&d);
       for (auto& d : rtwig) all_docs.push_back(&d);
-      value_filter = joiner->BuildValueFilter(all_docs);
+      value_filter = joiner->BuildValueFilter(all_docs, options.parallelism);
       if (filter_span.enabled()) {
         filter_span.Annotate("built", value_filter != nullptr ? "yes" : "no");
         if (value_filter != nullptr) {
           filter_span.Annotate(
               "values", static_cast<uint64_t>(value_filter->value_count()));
           filter_span.Annotate("pairs_checked", value_filter->pairs_checked());
+          AnnotateWorkers(&filter_span, value_filter->workers());
         }
       }
     }
@@ -813,6 +845,7 @@ Result<tax::TreeCollection> QueryExecutor::Join(
     for (const auto& d : rtwig) rptrs.push_back(&d);
     std::vector<tax::TreeCollection> parts(ldocs.size());
     std::atomic<uint64_t> parts_skipped{0};
+    size_t merge_workers = 1;
     TOSS_RETURN_NOT_OK(RunPerDoc(
         ldocs.size(),
         [&](size_t i) -> Status {
@@ -828,8 +861,8 @@ Result<tax::TreeCollection> QueryExecutor::Join(
                                value_filter.get(), options.cancel, &tstats));
           return Status::OK();
         },
-        options));
-    result = tax::MergeDedup(std::move(parts));
+        options, &merge_span, &merge_workers));
+    result = tax::MergeDedup(std::move(parts), options.parallelism);
     const uint64_t pruned_subtrees =
         docs_pruned + tstats.pairs_pruned.load(std::memory_order_relaxed) +
         parts_skipped.load(std::memory_order_relaxed);
@@ -851,6 +884,7 @@ Result<tax::TreeCollection> QueryExecutor::Join(
     }
     merge_span.End();
     if (eval_span.enabled()) eval_span.Annotate("join_engine", "twig");
+    AnnotateWorkers(&eval_span, merge_workers);
     m.twig_joins.Increment();
     m.twig_postings.Add(tstats.postings_built.load(std::memory_order_relaxed));
     m.twig_advances.Add(
@@ -872,7 +906,7 @@ Result<tax::TreeCollection> QueryExecutor::Join(
           if (rtrees[i] == nullptr) rtrees[i] = rcoll->DecodedTree(rdocs[i]);
           return Status::OK();
         },
-        options));
+        options, nullptr));
     std::vector<const tax::DataTree*> right_ptrs;
     right_ptrs.reserve(rtrees.size());
     for (const auto& t : rtrees) right_ptrs.push_back(t.get());
@@ -890,8 +924,8 @@ Result<tax::TreeCollection> QueryExecutor::Join(
                                      sem));
           return Status::OK();
         },
-        options));
-    result = tax::MergeDedup(std::move(parts));
+        options, &eval_span));
+    result = tax::MergeDedup(std::move(parts), options.parallelism);
   }
   if (stats != nullptr) stats->join_engine = use_twig ? 2 : 1;
   EndEval(&eval_span, timer, ldocs.size(), result, stats);

@@ -19,13 +19,14 @@
 // type-system reachability caches are frozen at construction, per-query
 // state (stats, spans, candidate lists, result parts) lives on the calling
 // thread's stack, and the store's decoded-tree cache is internally locked.
-// The per-request knobs -- parallelism, cancellation/deadline token,
+// The per-request knobs -- parallelism cap, cancellation/deadline token,
 // prepared-rewrite cache -- travel in QueryOptions, not in executor state.
-// Two shared mutable resources remain. The join's similarity oracle keeps
+// One shared mutable resource remains: the join's similarity oracle keeps
 // an internally locked per-term memo for the executor's lifetime (one SEO).
-// The worker pool is claimed per query with a try-lock: the query that
-// gets it fans out, concurrent ones run their loops inline (identical
-// answers either way).
+// Per-document loops fan out over the process-wide toss::Scheduler, whose
+// idle workers help and whose busy ones are left alone, so concurrent
+// queries never wait for each other's fan-out (identical answers either
+// way).
 //
 // service::TossService is the front door for multi-client use; it adds
 // admission control, deadlines, and the prepared-query cache around this
@@ -35,16 +36,13 @@
 #ifndef TOSS_CORE_QUERY_EXECUTOR_H_
 #define TOSS_CORE_QUERY_EXECUTOR_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/result.h"
-#include "common/worker_pool.h"
 #include "core/prepared_cache.h"
 #include "core/seo.h"
 #include "obs/trace.h"
@@ -82,10 +80,11 @@ struct ExecStats {
 /// call, so concurrent queries on one executor never observe each other's
 /// settings.
 struct QueryOptions {
-  /// Phase (iii) fan-out width (1 = inline). The pool is shared: when
-  /// another query holds it, this query's loops run inline instead --
-  /// answers are identical either way.
-  size_t parallelism = 1;
+  /// Cap on the threads one of this query's loops may use: 0 = the
+  /// scheduler's full width, 1 = inline. The loops only borrow idle
+  /// scheduler workers, so fewer may take part; answers are identical
+  /// either way.
+  size_t parallelism = 0;
 
   /// Checked between phases and once per document inside the eval loops;
   /// a fired token aborts with Cancelled / DeadlineExceeded and whatever
@@ -105,21 +104,9 @@ class QueryExecutor {
   /// Construction freezes the shared read-only state: the SEO and
   /// type-system reachability caches are warmed here, so queries -- from
   /// any number of threads -- only ever read them.
-  ///
-  /// `default_parallelism` seeds `parallelism()`, the width callers that
-  /// have no per-request setting (e.g. the text query language) put into
-  /// their QueryOptions; QueryOptions::parallelism is always what executes.
   QueryExecutor(const store::Database* db, const Seo* seo,
-                const TypeSystem* types, size_t default_parallelism = 1);
+                const TypeSystem* types);
   ~QueryExecutor();
-
-  /// Updates the default width reported by parallelism(). The setter is
-  /// atomic and safe to call concurrently; queries already in flight keep
-  /// the width they started with.
-  void SetParallelism(size_t threads);
-  size_t parallelism() const {
-    return parallelism_.load(std::memory_order_relaxed);
-  }
 
   // --- The per-request entry points ----------------------------------------
   //
@@ -207,29 +194,24 @@ class QueryExecutor {
                                          const EvalTree& eval_tree,
                                          const Merge& merge) const;
 
-  /// Runs fn(0) .. fn(n-1) with a per-index cancellation check -- over the
-  /// shared worker pool when `options.parallelism` and `n` warrant it AND
-  /// the pool is free (one fan-out at a time; concurrent queries fall back
-  /// to the inline loop). Returns the first error; the pool aborts
-  /// remaining work on failure.
+  /// Runs fn(0) .. fn(n-1) with a per-index cancellation check on the
+  /// scheduler, capped at `options.parallelism` threads, and annotates
+  /// `span` (when enabled) with `workers`, the threads that took part
+  /// (also stored in `*workers` when non-null). Returns the first error;
+  /// remaining work is abandoned on failure.
   Status RunPerDoc(size_t n, const std::function<Status(size_t)>& fn,
-                   const QueryOptions& options) const;
+                   const QueryOptions& options, obs::Span* span,
+                   size_t* workers = nullptr) const;
 
   const store::Database* db_;
   const Seo* seo_;
   const TypeSystem* types_;
-  std::atomic<size_t> parallelism_{1};
   tax::TaxSemantics tax_semantics_;
   SeoSemantics seo_semantics_;
   // The twig join's ~ oracle (SeoSimilarOracle, or exact equality for
   // TAX). Built once per executor, hence once per SEO: its per-term memo
   // is shared by every join and is internally locked.
   std::unique_ptr<const tax::SimilarOracle> oracle_;
-  // The shared pool. pool_mu_ doubles as the fan-out claim: RunPerDoc
-  // try-locks it, and only the holder touches pool_ (rebuilt when the
-  // requested width changes).
-  mutable std::mutex pool_mu_;
-  mutable std::unique_ptr<WorkerPool> pool_;  ///< guarded by pool_mu_
 };
 
 }  // namespace toss::core

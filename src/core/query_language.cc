@@ -264,10 +264,8 @@ Result<ParsedQuery> ParseQuery(std::string_view text) {
 Result<tax::TreeCollection> ExecuteQuery(const QueryExecutor& executor,
                                          const ParsedQuery& query,
                                          ExecStats* stats) {
-  // The text language carries no per-request knobs, so the executor's
-  // default parallelism is the one setting that applies.
+  // The text language carries no per-request knobs: default options.
   QueryOptions options;
-  options.parallelism = executor.parallelism();
   switch (query.kind) {
     case ParsedQuery::Kind::kSelect:
       return executor.Select(query.collection, query.pattern, query.sl,

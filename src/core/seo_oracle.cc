@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/scheduler.h"
 #include "common/string_util.h"
 
 namespace toss::core {
@@ -39,7 +40,7 @@ std::vector<uint64_t> SeoSimilarOracle::CompatBuckets(
 }
 
 tax::PairVerdicts SeoSimilarOracle::FreePairs(
-    const tax::PairUniverse& universe) const {
+    const tax::PairUniverse& universe, size_t max_width) const {
   tax::PairVerdicts out;
   // Every pair to decide has distinct texts and a free term, so only the
   // measure can make it similar.
@@ -59,31 +60,44 @@ tax::PairVerdicts SeoSimilarOracle::FreePairs(
     all_sigs = all_sigs && p.has_sig;
     terms.push_back(Term{i, p.sig.length, &p});
   }
-  auto check = [&](const Term& a, const Term& b) {
-    if (!universe.NeedsVerdict(a.index, b.index)) return;
-    ++out.checked;
-    if (MeasureSimilar(*a.prep, *b.prep)) {
-      out.similar.emplace_back(a.index, b.index);
-    }
-  };
-  if (!all_sigs) {
-    for (size_t p = 0; p < terms.size(); ++p) {
-      for (size_t q = p + 1; q < terms.size(); ++q) check(terms[p], terms[q]);
-    }
-    return out;
-  }
   // Length sweep: SignatureLowerBound >= |length difference|, so a pair
   // farther apart than epsilon is dissimilar without being examined.
-  std::sort(terms.begin(), terms.end(), [](const Term& a, const Term& b) {
-    return a.length < b.length;
-  });
-  for (size_t p = 0; p < terms.size(); ++p) {
-    for (size_t q = p + 1; q < terms.size(); ++q) {
-      if (static_cast<double>(terms[q].length - terms[p].length) > epsilon_) {
-        break;
-      }
-      check(terms[p], terms[q]);
-    }
+  if (all_sigs) {
+    std::sort(terms.begin(), terms.end(), [](const Term& a, const Term& b) {
+      return a.length < b.length;
+    });
+  }
+  // Row p pairs terms[p] with every later term (up to the length window);
+  // rows are independent, so they fan out and concatenate in row order.
+  struct Row {
+    std::vector<std::pair<uint32_t, uint32_t>> similar;
+    uint64_t checked = 0;
+  };
+  std::vector<Row> rows(terms.size());
+  (void)Scheduler::Global().ParallelFor(
+      terms.size(),
+      [&](size_t p) {
+        Row& row = rows[p];
+        const Term& a = terms[p];
+        for (size_t q = p + 1; q < terms.size(); ++q) {
+          const Term& b = terms[q];
+          if (all_sigs &&
+              static_cast<double>(b.length - a.length) > epsilon_) {
+            break;
+          }
+          if (!universe.NeedsVerdict(a.index, b.index)) continue;
+          ++row.checked;
+          if (MeasureSimilar(*a.prep, *b.prep)) {
+            row.similar.emplace_back(a.index, b.index);
+          }
+        }
+        return Status::OK();
+      },
+      max_width, &out.workers);
+  for (Row& row : rows) {
+    out.checked += row.checked;
+    out.similar.insert(out.similar.end(), row.similar.begin(),
+                       row.similar.end());
   }
   return out;
 }

@@ -60,9 +60,10 @@ class SeoSimilarOracle final : public tax::SimilarOracle {
   /// terms are sorted by signature length and only pairs within
   /// |length difference| <= epsilon are examined (SignatureLowerBound is
   /// at least the length difference, see sim::StringMeasure); otherwise
-  /// every needed pair is. No locks or hashing in the pair loop.
-  tax::PairVerdicts FreePairs(
-      const tax::PairUniverse& universe) const override;
+  /// every needed pair is. No locks or hashing in the pair loop. Rows of
+  /// the sweep fan out over the scheduler (at most `max_width` threads).
+  tax::PairVerdicts FreePairs(const tax::PairUniverse& universe,
+                              size_t max_width) const override;
 
  private:
   struct Prepared {

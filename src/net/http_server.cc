@@ -9,10 +9,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
 
+#include "common/scheduler.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 
@@ -35,6 +37,8 @@ struct NetMetrics {
   obs::Counter& r5xx = obs::Metrics().GetCounter("net.http.responses_5xx");
   obs::Histogram& request_ns =
       obs::Metrics().GetHistogram("net.http.request_ns");
+  obs::Histogram& queue_wait_ns =
+      obs::Metrics().GetHistogram("net.http.queue_wait_ns");
 };
 
 NetMetrics& Net() {
@@ -61,7 +65,8 @@ struct HttpServer::Connection {
   RequestParser parser;
   uint32_t events = 0;  ///< currently registered epoll interest
 
-  /// A worker owns a request from this connection; reads are paused.
+  /// A handler job owns (or waits for) a request from this connection;
+  /// reads are paused.
   bool busy = false;
 
   std::string outbuf;
@@ -129,11 +134,6 @@ Status HttpServer::Start() {
 
   stopping_.store(false, std::memory_order_relaxed);
   loop_ = std::thread([this] { LoopMain(); });
-  const size_t n_workers = std::max<size_t>(1, options_.worker_threads);
-  workers_.reserve(n_workers);
-  for (size_t i = 0; i < n_workers; ++i) {
-    workers_.emplace_back([this] { WorkerMain(); });
-  }
   started_ = true;
   return Status::OK();
 }
@@ -144,11 +144,12 @@ void HttpServer::Stop() {
     uint64_t one = 1;
     [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
     loop_.join();
-    jobs_cv_.notify_all();
-    for (std::thread& w : workers_) w.join();
-    workers_.clear();
+    std::unique_lock<std::mutex> lock(running_mu_);
+    running_cv_.wait(lock, [this] { return running_ == 0; });
     started_ = false;
   }
+  in_flight_ = 0;
+  parked_.clear();
   conns_.clear();  // Connection dtor is trivial; fds were closed by the loop
   if (epoll_fd_ >= 0) ::close(epoll_fd_), epoll_fd_ = -1;
   if (wake_fd_ >= 0) ::close(wake_fd_), wake_fd_ = -1;
@@ -218,10 +219,8 @@ void HttpServer::PumpConnection(Connection* conn) {
     case RequestParser::Result::kReady: {
       Net().requests.Increment();
       conn->busy = true;
-      UpdateEvents(conn, 0);  // pause reads while the worker owns it
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      jobs_.push_back(Job{conn->id, std::move(request)});
-      jobs_cv_.notify_one();
+      UpdateEvents(conn, 0);  // pause reads while a job owns it
+      Dispatch(conn->id, std::move(request));
       return;
     }
     case RequestParser::Result::kError: {
@@ -314,6 +313,14 @@ void HttpServer::DrainOutcomes() {
     done.swap(outcomes_);
   }
   for (Outcome& o : done) {
+    --in_flight_;
+    // A finished job frees a slot for the oldest parked request whose
+    // connection is still open.
+    while (!parked_.empty() && in_flight_ < MaxInFlight()) {
+      auto [id, request] = std::move(parked_.front());
+      parked_.pop_front();
+      if (conns_.count(id) != 0) Dispatch(id, std::move(request));
+    }
     auto it = conns_.find(o.conn_id);
     if (it == conns_.end()) continue;  // client vanished mid-handling
     Connection* conn = it->second.get();
@@ -370,32 +377,45 @@ void HttpServer::LoopMain() {
   Net().open.Set(0);
 }
 
-void HttpServer::WorkerMain() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(jobs_mu_);
-      jobs_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_relaxed) || !jobs_.empty();
-      });
-      if (stopping_.load(std::memory_order_relaxed)) return;
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-    }
-    Timer timer;
-    HttpResponse resp = handler_(job.request);
-    Net().request_ns.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
-    CountResponseClass(resp.status);
-    const bool alive = job.request.keep_alive && !resp.close;
-    Outcome outcome{job.conn_id, SerializeResponse(resp, job.request.keep_alive),
-                    alive};
-    {
-      std::lock_guard<std::mutex> lock(outcomes_mu_);
-      outcomes_.push_back(std::move(outcome));
-    }
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+size_t HttpServer::MaxInFlight() const {
+  return std::max<size_t>(1, options_.worker_threads);
+}
+
+void HttpServer::Dispatch(uint64_t conn_id, HttpRequest request) {
+  if (in_flight_ >= MaxInFlight()) {
+    parked_.emplace_back(conn_id, std::move(request));
+    return;
   }
+  ++in_flight_;
+  {
+    std::lock_guard<std::mutex> lock(running_mu_);
+    ++running_;
+  }
+  Timer queued;
+  Scheduler::Global().Submit(
+      [this, conn_id, request = std::move(request), queued] {
+        Net().queue_wait_ns.Record(static_cast<uint64_t>(queued.ElapsedNanos()));
+        if (!stopping_.load(std::memory_order_relaxed)) {
+          RunJob(conn_id, request);
+        }
+        std::lock_guard<std::mutex> lock(running_mu_);
+        if (--running_ == 0) running_cv_.notify_all();
+      });
+}
+
+void HttpServer::RunJob(uint64_t conn_id, const HttpRequest& request) {
+  Timer timer;
+  HttpResponse resp = handler_(request);
+  Net().request_ns.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
+  CountResponseClass(resp.status);
+  const bool alive = request.keep_alive && !resp.close;
+  Outcome outcome{conn_id, SerializeResponse(resp, request.keep_alive), alive};
+  {
+    std::lock_guard<std::mutex> lock(outcomes_mu_);
+    outcomes_.push_back(std::move(outcome));
+  }
+  uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 }  // namespace toss::net

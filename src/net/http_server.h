@@ -1,20 +1,26 @@
 // Poll-driven HTTP/1.1 server (DESIGN.md §16 "Network edge & wire
 // protocol"): the process boundary in front of TossService.
 //
-// Threading model -- one epoll event loop owns every socket; a small
-// worker pool owns the handler:
+// Threading model -- one epoll event loop owns every socket; handlers run
+// as jobs on the process-wide toss::Scheduler:
 //
 //   * The loop thread does all accepting, reading, parsing, and writing.
 //     Connection state is only ever touched from this thread, so there is
 //     no per-connection locking at all.
-//   * A complete request is handed to the worker pool as a job; the worker
-//     runs the handler (which blocks inside TossService::Run -- admission
-//     queueing, deadlines), serializes the response, and posts the bytes
-//     back to the loop through a mutex-guarded outbox + eventfd wakeup.
+//   * A complete request is submitted to the scheduler as a job; the job
+//     runs the handler (which may block inside TossService::Run --
+//     admission queueing, deadlines), serializes the response, and posts
+//     the bytes back to the loop through a mutex-guarded outbox + eventfd
+//     wakeup. Per-document loops inside the handler fan out over the same
+//     scheduler's idle workers, so a serving process has one set of
+//     compute threads, one per usable CPU (at least two).
+//   * At most ServerOptions::worker_threads of this server's jobs are in
+//     flight; further complete requests wait on the loop thread (in
+//     arrival order) until a job finishes.
 //
-// One request is in flight per connection: while a worker owns the
-// request, the loop stops reading that socket (the kernel buffer provides
-// the backpressure) and resumes -- serving any pipelined requests already
+// One request is in flight per connection: while a job owns the request,
+// the loop stops reading that socket (the kernel buffer provides the
+// backpressure) and resumes -- serving any pipelined requests already
 // buffered -- once the response has flushed. Admission at the edge is by
 // connection count: beyond ServerOptions::max_connections an accepted
 // socket gets `503 Connection: close` and is dropped, so overload degrades
@@ -24,7 +30,8 @@
 //
 // Instruments (obs::MetricsRegistry): net.conns.accepted / rejected /
 // open, net.http.requests, net.http.parse_errors, net.http.responses_2xx /
-// _4xx / _5xx, net.http.request_ns.
+// _4xx / _5xx, net.http.request_ns (handler + serialization), and
+// net.http.queue_wait_ns (Submit to job start on the scheduler).
 
 #ifndef TOSS_NET_HTTP_SERVER_H_
 #define TOSS_NET_HTTP_SERVER_H_
@@ -39,6 +46,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -55,16 +63,20 @@ struct ServerOptions {
   /// Connection-count admission: accepts beyond this answer 503 and close.
   size_t max_connections = 256;
 
-  /// Handler pool size. Sized like the service's max_inflight + queue:
-  /// workers beyond that just wait inside admission control.
+  /// Cap on this server's handler jobs in flight on the scheduler (>= 1).
+  /// The threads that run them are the scheduler's, shared process-wide,
+  /// so at most min(worker_threads, Scheduler::Global().width()) handlers
+  /// run at once; requests beyond the cap wait on the loop thread for a
+  /// free slot.
   size_t worker_threads = 4;
 
   ParserLimits limits;
 };
 
-/// Maps one parsed request to one response. Called on a worker thread;
-/// must be thread-safe and may block (the service's admission control is
-/// the intended blocking point).
+/// Maps one parsed request to one response. Called on a scheduler worker;
+/// must be thread-safe and may block only on work already running on
+/// another thread (the service's admission control is the intended
+/// blocking point; see DESIGN.md §16).
 using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
 class HttpServer {
@@ -75,12 +87,13 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens, and spawns the event loop + workers. IOError when the
-  /// address cannot be bound.
+  /// Binds, listens, and spawns the event loop. IOError when the address
+  /// cannot be bound.
   Status Start();
 
-  /// Stops accepting, closes every connection, joins all threads.
-  /// Idempotent.
+  /// Stops accepting, closes every connection, joins the loop and waits
+  /// for every handler job already submitted to finish (jobs that had not
+  /// started yet skip the handler). Idempotent.
   void Stop();
 
   /// The bound port (resolves port=0), valid after Start().
@@ -90,10 +103,6 @@ class HttpServer {
 
  private:
   struct Connection;
-  struct Job {
-    uint64_t conn_id = 0;
-    HttpRequest request;
-  };
   struct Outcome {
     uint64_t conn_id = 0;
     std::string bytes;        ///< serialized response
@@ -101,7 +110,11 @@ class HttpServer {
   };
 
   void LoopMain();
-  void WorkerMain();
+  /// Submits `request` as a handler job, or parks it until a slot frees.
+  void Dispatch(uint64_t conn_id, HttpRequest request);
+  size_t MaxInFlight() const;
+  /// The handler job: runs on a scheduler worker.
+  void RunJob(uint64_t conn_id, const HttpRequest& request);
 
   void AcceptReady();
   void HandleReadable(Connection* conn);
@@ -122,7 +135,6 @@ class HttpServer {
   uint16_t port_ = 0;
 
   std::thread loop_;
-  std::vector<std::thread> workers_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 
@@ -130,12 +142,16 @@ class HttpServer {
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_;
   uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = wake eventfd
 
-  // Loop -> workers.
-  std::mutex jobs_mu_;
-  std::condition_variable jobs_cv_;
-  std::deque<Job> jobs_;
+  size_t in_flight_ = 0;  ///< submitted jobs whose outcome is not drained
+  /// Complete requests waiting for an in-flight slot, in arrival order.
+  std::deque<std::pair<uint64_t, HttpRequest>> parked_;
 
-  // Workers -> loop (paired with a wake_fd_ write).
+  // Submitted jobs not yet finished; Stop() waits for zero.
+  std::mutex running_mu_;
+  std::condition_variable running_cv_;
+  size_t running_ = 0;
+
+  // Jobs -> loop (paired with a wake_fd_ write).
   std::mutex outcomes_mu_;
   std::vector<Outcome> outcomes_;
 };

@@ -33,7 +33,7 @@ HttpResponse RunRequest(service::TossService* service,
   service::QueryResponse resp = service->Run(request);
   HttpResponse out;
   out.status = HttpStatusFor(resp.status.code());
-  out.body = service::wire::ResponseJson(resp);
+  out.body = service::wire::ResponseJson(resp, request.parallelism);
   return out;
 }
 

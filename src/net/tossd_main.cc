@@ -13,7 +13,10 @@
 //
 // Flags: --port N (default 8080; 0 picks an ephemeral port and prints it),
 // --papers N (synthetic corpus size, default 500), --epsilon F (SEO
-// threshold, default 3.0), --workers N, --max-connections N.
+// threshold, default 3.0), --workers N (cap on handler jobs in flight;
+// the threads that run them are the process-wide scheduler's, one per
+// usable CPU and at least two, so the real bound is the smaller of the
+// two), --max-connections N.
 
 #include <semaphore.h>
 

@@ -3,7 +3,7 @@
 //
 // Hot-path cost is the design constraint: every instrument is updated with
 // relaxed atomics on cache-line-separated shards indexed by a thread-local
-// hash, so concurrent increments from the worker pool never contend on one
+// hash, so concurrent increments from scheduler threads never contend on one
 // line and an increment is a single wait-free fetch_add. Reads (Value,
 // snapshots) sum the shards; they are racy-by-design monotonic views, which
 // is exactly what a metrics reader wants.

@@ -70,7 +70,7 @@ struct SeaOptions {
   /// Apply DistanceLowerBound admission filters in the pairwise scan.
   bool use_filters = true;
 
-  /// Fan the pairwise scan out over toss::SharedWorkerPool(). The result
+  /// Fan the pairwise scan out over toss::Scheduler::Global(). The result
   /// is bit-identical to the sequential scan either way.
   bool parallel = true;
 

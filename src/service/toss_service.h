@@ -117,7 +117,8 @@ struct QueryRequest {
   /// ANALYZE path; same answers, same code path).
   bool collect_trace = false;
 
-  /// Phase (iii) fan-out width; 0 = the service's default_parallelism.
+  /// Cap on the scheduler threads one of the request's loops may use;
+  /// 0 = the scheduler's full width (QueryOptions::parallelism).
   size_t parallelism = 0;
 
   /// Optional caller-owned cancellation, observed alongside the deadline.
@@ -175,7 +176,6 @@ struct QueryResponse {
 struct ServiceOptions {
   size_t max_inflight = 4;   ///< concurrent queries (clamped >= 1)
   size_t max_queue = 16;     ///< waiters beyond that before shedding
-  size_t default_parallelism = 1;  ///< per-query fan-out when unset
   size_t prepared_cache_capacity = 512;
 
   // --- Telemetry (DESIGN.md §15) ------------------------------------------

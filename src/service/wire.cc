@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "common/scheduler.h"
 #include "core/query_language.h"
 #include "obs/flight_recorder.h"
 #include "tax/condition_parser.h"
@@ -399,7 +402,7 @@ Result<QueryRequest> ParseRequestText(std::string_view text) {
   return ParseRequest(doc);
 }
 
-JsonValue ResponseToJson(const QueryResponse& response) {
+JsonValue ResponseToJson(const QueryResponse& response, size_t max_width) {
   JsonValue out = JsonValue::Object();
   out.Set("version", JsonValue::Number(kWireVersion));
 
@@ -408,9 +411,17 @@ JsonValue ResponseToJson(const QueryResponse& response) {
   status.Set("message", JsonValue::String(response.status.message()));
   out.Set("status", std::move(status));
 
+  std::vector<std::string> rendered(response.trees.size());
+  (void)Scheduler::Global().ParallelFor(
+      rendered.size(),
+      [&](size_t i) {
+        rendered[i] = xml::Write(response.trees[i].ToXml());
+        return Status::OK();
+      },
+      max_width);
   JsonValue trees = JsonValue::Array();
-  for (const tax::DataTree& tree : response.trees) {
-    trees.Append(JsonValue::String(xml::Write(tree.ToXml())));
+  for (std::string& xml : rendered) {
+    trees.Append(JsonValue::String(std::move(xml)));
   }
   out.Set("trees", std::move(trees));
 
@@ -446,8 +457,8 @@ JsonValue ResponseToJson(const QueryResponse& response) {
   return out;
 }
 
-std::string ResponseJson(const QueryResponse& response) {
-  return ResponseToJson(response).Dump();
+std::string ResponseJson(const QueryResponse& response, size_t max_width) {
+  return ResponseToJson(response, max_width).Dump();
 }
 
 }  // namespace toss::service::wire

@@ -75,12 +75,15 @@ Result<QueryRequest> ParseRequest(const common::JsonValue& doc);
 /// ParseRequest over raw bytes (JSON parse errors become ParseError).
 Result<QueryRequest> ParseRequestText(std::string_view text);
 
-/// Serializes a response. Trees are rendered to canonical XML strings; the
-/// trace (when collected) is embedded as a JSON object, else null.
-common::JsonValue ResponseToJson(const QueryResponse& response);
+/// Serializes a response. Trees are rendered to canonical XML strings
+/// (on the scheduler, at most `max_width` threads; 0 = its full width --
+/// the bytes do not depend on it); the trace (when collected) is embedded
+/// as a JSON object, else null.
+common::JsonValue ResponseToJson(const QueryResponse& response,
+                                 size_t max_width = 0);
 
 /// ResponseToJson rendered as one compact JSON document.
-std::string ResponseJson(const QueryResponse& response);
+std::string ResponseJson(const QueryResponse& response, size_t max_width = 0);
 
 }  // namespace toss::service::wire
 

@@ -1,6 +1,6 @@
 #include "sim/pairwise.h"
 
-#include "common/worker_pool.h"
+#include "common/scheduler.h"
 #include "obs/metrics.h"
 #include "sim/node_measure.h"
 
@@ -77,14 +77,13 @@ struct SignatureIndex {
   }
 };
 
-/// Runs `row(i)` for every i in [0, n), inline or over the shared pool.
+/// Runs `row(i)` for every i in [0, n), inline or over the scheduler.
 /// Tasks only write disjoint slots, so both paths yield identical output.
 template <typename RowFn>
 void Drive(size_t n, const PairwiseOptions& options, const RowFn& row) {
-  if (options.parallel && n >= options.min_parallel_items &&
-      SharedWorkerPool().thread_count() > 1) {
-    // Tasks never fail; the Status plumbing exists for the pool's sake.
-    (void)SharedParallelFor(n, [&](size_t i) {
+  if (options.parallel && n >= options.min_parallel_items) {
+    // Tasks never fail; the Status plumbing exists for the scheduler's sake.
+    (void)Scheduler::Global().ParallelFor(n, [&](size_t i) {
       row(i);
       return Status::OK();
     });

@@ -9,8 +9,8 @@
 //      for the edit family); pairs provably over the bound skip the DP.
 //      StringMeasure::DistanceLowerBound is the exact-count sibling of the
 //      same bound for one-off use;
-//   2. parallel fan-out -- rows are distributed over the shared
-//      toss::WorkerPool; every task writes distinct pair slots, so the
+//   2. parallel fan-out -- rows are distributed over the process-wide
+//      toss::Scheduler; every task writes distinct pair slots, so the
 //      parallel result is bit-for-bit identical to the sequential one;
 //   3. canonical over-bound values -- any distance > bound is stored as
 //      +infinity, so filtered / unfiltered / parallel / sequential runs
@@ -94,7 +94,7 @@ struct PairwiseOptions {
   /// measures without ComputeSignature support).
   bool use_filters = true;
 
-  /// Fan rows out over toss::SharedWorkerPool(). Output is bit-identical
+  /// Fan rows out over toss::Scheduler::Global(). Output is bit-identical
   /// to the sequential scan (each pair's slot is written exactly once).
   bool parallel = true;
 

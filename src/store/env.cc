@@ -192,7 +192,7 @@ void ProductionEnv::SleepForMicros(uint64_t micros) {
 }
 
 Env* Env::Default() {
-  // Leaked deliberately (same rationale as SharedWorkerPool): destruction
+  // Leaked deliberately (same rationale as Scheduler::Global): destruction
   // order at exit is a hazard and the object is stateless anyway.
   static ProductionEnv* env = new ProductionEnv();
   return env;

@@ -1,8 +1,14 @@
 #include "tax/operators.h"
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
+
+#include "common/scheduler.h"
 
 namespace toss::tax {
 
@@ -179,13 +185,46 @@ Result<TreeCollection> JoinTreeWithRight(
   return out;
 }
 
-TreeCollection MergeDedup(std::vector<TreeCollection> parts) {
-  TreeCollection out;
-  Deduper dedup;
+TreeCollection MergeDedup(std::vector<TreeCollection> parts,
+                          size_t max_width) {
+  std::vector<DataTree*> trees;
   for (TreeCollection& part : parts) {
     for (DataTree& tree : part) {
-      dedup.Add(std::move(tree), &out);
+      if (!tree.empty()) trees.push_back(&tree);
     }
+  }
+  // Hashing each tree's canonical key is independent work; only hashes
+  // are kept, so the keys never all live at once. The first-occurrence
+  // scan that follows is the one order-dependent step. It confirms a hash
+  // match by building the candidate's key once and comparing it with the
+  // colliding kept trees' keys, each built on its first collision only.
+  std::vector<size_t> hashes(trees.size());
+  (void)Scheduler::Global().ParallelFor(
+      trees.size(),
+      [&](size_t i) {
+        hashes[i] = std::hash<std::string>{}(trees[i]->CanonicalKey());
+        return Status::OK();
+      },
+      max_width);
+  TreeCollection out;
+  std::unordered_multimap<size_t, size_t> kept;  // hash -> index in out
+  std::vector<std::string> kept_keys;  // parallel to out; "" = not built
+  kept.reserve(trees.size());
+  for (size_t i = 0; i < trees.size(); ++i) {
+    auto [first, last] = kept.equal_range(hashes[i]);
+    std::string key;
+    if (first != last) {
+      key = trees[i]->CanonicalKey();
+      const bool seen = std::any_of(first, last, [&](const auto& entry) {
+        std::string& other = kept_keys[entry.second];
+        if (other.empty()) other = out[entry.second].CanonicalKey();
+        return other == key;
+      });
+      if (seen) continue;
+    }
+    kept.emplace(hashes[i], out.size());
+    kept_keys.push_back(std::move(key));
+    out.push_back(std::move(*trees[i]));
   }
   return out;
 }

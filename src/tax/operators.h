@@ -87,7 +87,7 @@ TreeCollection Difference(const TreeCollection& left,
 //
 // Each collection operator above factors into an independent per-input-tree
 // step plus an order-preserving merge. The executor fans the per-tree steps
-// out across a worker pool and merges in input order, which reproduces the
+// out over the scheduler and merges in input order, which reproduces the
 // sequential output byte-for-byte: duplicates are collapsed by canonical
 // key at merge time exactly as the sequential global dedup would.
 
@@ -131,8 +131,11 @@ Result<TreeCollection> JoinTreeWithRight(
     const ConditionSemantics& semantics);
 
 /// Concatenates per-tree results in order, collapsing duplicates globally
-/// by canonical key (first occurrence wins).
-TreeCollection MergeDedup(std::vector<TreeCollection> parts);
+/// by canonical key (first occurrence wins). The keys are computed on the
+/// scheduler, at most `max_width` threads (0 = its full width); the result
+/// does not depend on the width.
+TreeCollection MergeDedup(std::vector<TreeCollection> parts,
+                          size_t max_width = 0);
 
 }  // namespace toss::tax
 

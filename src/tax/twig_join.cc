@@ -468,7 +468,8 @@ std::vector<std::vector<SymbolId>> TwigJoiner::PruneFilterIds() const {
   return out;
 }
 
-PairVerdicts SimilarOracle::FreePairs(const PairUniverse& universe) const {
+PairVerdicts SimilarOracle::FreePairs(const PairUniverse& universe,
+                                      size_t /*max_width*/) const {
   PairVerdicts out;
   const uint32_t n = static_cast<uint32_t>(universe.size());
   for (uint32_t a = 0; a < n; ++a) {
@@ -498,7 +499,7 @@ bool TwigValueFilter::CanSkipPair(const TwigDoc& left,
 }
 
 std::unique_ptr<TwigValueFilter> TwigJoiner::BuildValueFilter(
-    const std::vector<TwigDoc*>& docs) const {
+    const std::vector<TwigDoc*>& docs, size_t max_width) const {
   // Shape gates (soundness; see header). Exactly two subtrees guarantee
   // that every mixed mapping places the anchor's two slots in opposite
   // documents -- with more subtrees a cross-document mapping could still
@@ -647,7 +648,7 @@ std::unique_ptr<TwigValueFilter> TwigJoiner::BuildValueFilter(
       for (uint32_t j : ms) SetBit(compat[i], j);
     }
   }
-  PairVerdicts verdicts = oracle_->FreePairs(universe);
+  PairVerdicts verdicts = oracle_->FreePairs(universe, max_width);
   for (const auto& [a, b] : verdicts.similar) {
     SetBit(compat[a], b);
     SetBit(compat[b], a);
@@ -656,6 +657,7 @@ std::unique_ptr<TwigValueFilter> TwigJoiner::BuildValueFilter(
   std::unique_ptr<TwigValueFilter> f(new TwigValueFilter());
   f->value_count_ = value_count;
   f->pairs_checked_ = verdicts.checked;
+  f->workers_ = verdicts.workers;
   for (size_t i = 0; i < docs.size(); ++i) {
     if (!sets[i].eligible) continue;
     TwigValueFilter::DocBits db;

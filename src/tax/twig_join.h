@@ -70,11 +70,13 @@ struct PairUniverse {
   }
 };
 
-/// FreePairs' answer: the similar pairs, each unordered pair once, and the
-/// number of pairs whose verdict was computed (for the trace).
+/// FreePairs' answer: the similar pairs, each unordered pair once, the
+/// number of pairs whose verdict was computed, and the threads that
+/// computed them (for the trace).
 struct PairVerdicts {
   std::vector<std::pair<uint32_t, uint32_t>> similar;
   uint64_t checked = 0;
+  size_t workers = 1;
 };
 
 /// Thread-safe verdict for `x ~ y` on raw term texts, exactly as the active
@@ -109,9 +111,12 @@ class SimilarOracle {
   /// Batch SimilarSym for the value filter's compatibility closure:
   /// exactly the unordered pairs {a, b}, a != b, with
   /// universe.NeedsVerdict(a, b) and SimilarSym(a, b) true, each once, in
-  /// any order. The default calls SimilarSym on every pair that needs a
-  /// verdict; overrides must return the same set of pairs.
-  virtual PairVerdicts FreePairs(const PairUniverse& universe) const;
+  /// any order. Implementations may fan out over the scheduler, at most
+  /// `max_width` threads (0 = its full width). The default calls SimilarSym
+  /// on every pair that needs a verdict, inline; overrides must return the
+  /// same set of pairs.
+  virtual PairVerdicts FreePairs(const PairUniverse& universe,
+                                 size_t max_width) const;
 };
 
 /// Plain TAX: ~ degrades to exact string equality (TaxSemantics::Similar).
@@ -215,6 +220,9 @@ class TwigValueFilter {
   /// Pair verdicts the closure computed (SimilarOracle::FreePairs).
   uint64_t pairs_checked() const { return pairs_checked_; }
 
+  /// Threads that computed those verdicts.
+  size_t workers() const { return workers_; }
+
  private:
   friend class TwigJoiner;
   using Bits = std::vector<uint64_t>;
@@ -234,6 +242,7 @@ class TwigValueFilter {
 
   size_t value_count_ = 0;
   uint64_t pairs_checked_ = 0;
+  size_t workers_ = 1;
   std::vector<DocBits> docs_;  ///< indexed by TwigDoc::value_slot
 };
 
@@ -287,8 +296,10 @@ class TwigJoiner {
   /// cannot suppress a verdict or an error), with an anchor ~ atom joining
   /// two non-root node terms in the two different subtrees of a
   /// two-subtree pattern -- or when the value universe exceeds fixed caps.
+  /// The closure's FreePairs sweep uses at most `max_width` scheduler
+  /// threads (0 = its full width).
   std::unique_ptr<TwigValueFilter> BuildValueFilter(
-      const std::vector<TwigDoc*>& docs) const;
+      const std::vector<TwigDoc*>& docs, size_t max_width = 0) const;
 
   /// Whether the synthetic product root passes the root label's tag filter
   /// (always true without one). False disables the cross-tree groups

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <set>
-#include <stdexcept>
 #include <vector>
 
 #include "common/cancel.h"
@@ -12,7 +10,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/string_util.h"
-#include "common/worker_pool.h"
 #include "obs/metrics.h"
 
 namespace toss {
@@ -298,79 +295,6 @@ TEST(RandomTest, ZipfSkewsTowardsLowRanks) {
   // With theta=1, the first 10 of 100 ranks carry well over a third of
   // the mass.
   EXPECT_GT(low, total / 3);
-}
-
-TEST(WorkerPoolTest, RunsEveryIndexOnce) {
-  WorkerPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  Status st = pool.ParallelFor(100, [&](size_t i) {
-    hits[i].fetch_add(1);
-    return Status::OK();
-  });
-  ASSERT_TRUE(st.ok());
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkerPoolTest, FirstErrorAbortsAndPoolStaysUsable) {
-  WorkerPool pool(4);
-  std::atomic<size_t> ran{0};
-  Status st = pool.ParallelFor(10'000, [&](size_t i) {
-    ran.fetch_add(1);
-    if (i == 3) return Status::IOError("task 3 failed");
-    return Status::OK();
-  });
-  ASSERT_TRUE(st.IsIOError()) << st;
-  // The abort flag dropped the bulk of the range.
-  EXPECT_LT(ran.load(), 10'000u);
-
-  // An aborted batch must not poison the pool: the next batch runs fully.
-  std::vector<std::atomic<int>> hits(64);
-  st = pool.ParallelFor(64, [&](size_t i) {
-    hits[i].fetch_add(1);
-    return Status::OK();
-  });
-  ASSERT_TRUE(st.ok()) << st;
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkerPoolTest, ThrowingTaskBecomesInternalErrorNotDeadlock) {
-  WorkerPool pool(4);
-  Status st = pool.ParallelFor(1'000, [&](size_t i) -> Status {
-    if (i == 7) throw std::runtime_error("boom at 7");
-    return Status::OK();
-  });
-  ASSERT_TRUE(st.IsInternal()) << st;
-  EXPECT_NE(st.message().find("boom at 7"), std::string::npos) << st;
-
-  // Reuse after the throwing batch, including a non-std thrower.
-  st = pool.ParallelFor(16, [&](size_t i) -> Status {
-    if (i == 2) throw 42;  // NOLINT(hicpp-exception-baseclass)
-    return Status::OK();
-  });
-  ASSERT_TRUE(st.IsInternal()) << st;
-
-  std::atomic<size_t> ran{0};
-  st = pool.ParallelFor(32, [&](size_t) {
-    ran.fetch_add(1);
-    return Status::OK();
-  });
-  ASSERT_TRUE(st.ok()) << st;
-  EXPECT_EQ(ran.load(), 32u);
-}
-
-TEST(WorkerPoolTest, SharedPoolSurvivesThrowingBatch) {
-  Status st = SharedParallelFor(8, [&](size_t i) -> Status {
-    if (i == 1) throw std::runtime_error("shared boom");
-    return Status::OK();
-  });
-  ASSERT_TRUE(st.IsInternal()) << st;
-  std::atomic<size_t> ran{0};
-  st = SharedParallelFor(8, [&](size_t) {
-    ran.fetch_add(1);
-    return Status::OK();
-  });
-  ASSERT_TRUE(st.ok()) << st;
-  EXPECT_EQ(ran.load(), 8u);
 }
 
 TEST(RandomTest, AlphaStringShapeAndDeterminism) {

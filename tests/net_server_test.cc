@@ -6,7 +6,7 @@
 // deadlines (504), routing (404/405), and the telemetry endpoint.
 //
 // This binary carries the service_smoke label, so it also runs under
-// ThreadSanitizer in CI: the loop-thread / worker-pool handoff and the
+// ThreadSanitizer in CI: the loop-thread / scheduler handoff and the
 // concurrent-client tests are exactly the races TSan is here to watch.
 
 #include <arpa/inet.h>
@@ -20,11 +20,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.h"
+#include "common/scheduler.h"
 #include "core/toss.h"
 #include "data/bib_generator.h"
 #include "net/http_server.h"
@@ -438,6 +440,10 @@ TEST_F(NetServerTest, ConnectionLimitAnswers503AndCloses) {
 // --- Service semantics through the edge --------------------------------------
 
 TEST_F(NetServerTest, SaturatedServiceSheds429) {
+  // A request is shed only while another handler runs beside it; the
+  // scheduler's width (the handlers that can run at once) is at least two
+  // for this, even on a one-CPU host.
+  ASSERT_GE(Scheduler::Global().width(), 2u);
   service::ServiceOptions tiny;
   tiny.max_inflight = 1;
   tiny.max_queue = 0;
@@ -544,6 +550,46 @@ TEST_F(NetServerTest, ManyConcurrentConnectionsAllAnswer) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(answered.load(),
             static_cast<int>(2 * kThreads * kConnsPerThread));
+}
+
+/// The `Threads:` line of /proc/self/status: this process's thread count.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::atoi(line.c_str() + 8);
+  }
+  return -1;
+}
+
+TEST_F(NetServerTest, HugeParallelismIsACapNotAThreadCount) {
+  // The wire accepts any "parallelism" in 0..INT_MAX. It only caps how
+  // many of the scheduler's fixed workers a loop may borrow, so the
+  // largest value must answer like parallelism 1 and start no thread.
+  const uint16_t port = Serve();
+  TestClient client;
+  ASSERT_TRUE(client.Connect(port));
+  service::QueryRequest one = AuthorSelect();
+  one.parallelism = 1;
+  TestClient::Response base =
+      client.Post("/v1/query", service::wire::RequestJson(one));
+  ASSERT_EQ(base.status, 200);
+  const int threads_before = ProcessThreads();
+  ASSERT_GT(threads_before, 0);
+
+  service::QueryRequest huge = AuthorSelect();
+  huge.parallelism = 2147483647;
+  const std::string body = service::wire::RequestJson(huge);
+  ASSERT_NE(body.find("2147483647"), std::string::npos) << body;
+  TestClient::Response r = client.Post("/v1/query", body);
+  ASSERT_EQ(r.status, 200) << r.body;
+  EXPECT_LE(ProcessThreads(), threads_before);
+
+  auto want = common::JsonValue::Parse(base.body);
+  auto got = common::JsonValue::Parse(r.body);
+  ASSERT_TRUE(want.ok() && got.ok());
+  ASSERT_GT(want->Get("trees")->size(), 0u);
+  EXPECT_EQ(got->Get("trees")->Dump(), want->Get("trees")->Dump());
 }
 
 TEST_F(NetServerTest, TraceRequestedOverTheWireComesBack) {

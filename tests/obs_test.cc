@@ -3,10 +3,11 @@
 #include <set>
 #include <string>
 
+#include "common/scheduler.h"
 #include "common/timer.h"
-#include "common/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "scheduler_test_util.h"
 
 namespace toss::obs {
 namespace {
@@ -26,20 +27,29 @@ TEST(CounterTest, AddIncrementValueReset) {
 }
 
 TEST(CounterTest, ConcurrentIncrementsAreLossless) {
-  // Funnels increments through the real worker pool so the sharded
+  // Funnels increments through a real scheduler so the sharded
   // relaxed-atomic path is exercised by genuinely concurrent threads (and
-  // by TSan-less ASan/UBSan in the sanitize preset).
-  WorkerPool pool(4);
+  // by TSan-less ASan/UBSan in the sanitize preset). The rendezvous keeps
+  // the caller from running every task itself.
+  Scheduler pool(4);
+  WaitUntilParked(pool);
+  HelperRendezvous rendezvous;
   Counter c;
   Histogram h;
   constexpr size_t kTasks = 2000;
   constexpr uint64_t kPerTask = 7;
-  Status st = pool.ParallelFor(kTasks, [&](size_t) {
-    c.Add(kPerTask);
-    h.Record(1000);
-    return Status::OK();
-  });
+  size_t used = 0;
+  Status st = pool.ParallelFor(
+      kTasks,
+      [&](size_t) {
+        rendezvous.Enter();
+        c.Add(kPerTask);
+        h.Record(1000);
+        return Status::OK();
+      },
+      0, &used);
   ASSERT_TRUE(st.ok());
+  EXPECT_GT(used, 1u);
   EXPECT_EQ(c.Value(), kTasks * kPerTask);
   EXPECT_EQ(h.GetSnapshot().count, kTasks);
 }
@@ -341,16 +351,24 @@ TEST(TraceTest, JsonAndPrettyRenderTheTree) {
 }
 
 TEST(TraceTest, SpansAssembledAcrossPoolThreadsStayWellFormed) {
-  WorkerPool pool(4);
+  Scheduler pool(4);
+  WaitUntilParked(pool);
+  HelperRendezvous rendezvous;
   Trace trace("parallel");
   {
     Span root = trace.RootSpan();
-    Status st = pool.ParallelFor(64, [&](size_t i) {
-      Span task(&root, "task");
-      task.Annotate("i", static_cast<uint64_t>(i));
-      return Status::OK();
-    });
+    size_t used = 0;
+    Status st = pool.ParallelFor(
+        64,
+        [&](size_t i) {
+          rendezvous.Enter();
+          Span task(&root, "task");
+          task.Annotate("i", static_cast<uint64_t>(i));
+          return Status::OK();
+        },
+        0, &used);
     ASSERT_TRUE(st.ok());
+    EXPECT_GT(used, 1u);
   }
   const TraceNode& root = trace.root();
   ASSERT_EQ(root.children.size(), 64u);

@@ -71,8 +71,6 @@ TEST_F(ParallelExecTest, ParallelSelectMatchesSequentialExactly) {
                       use_toss ? &types_ : nullptr);
     QueryExecutor par(&db_, use_toss ? &seo_ : nullptr,
                       use_toss ? &types_ : nullptr);
-    par.SetParallelism(4);
-    EXPECT_EQ(par.parallelism(), 4u);
     for (const auto& q : queries_) {
       auto rs = seq.Select("dblp", q.pattern, q.sl, Width(1));
       auto rp = par.Select("dblp", q.pattern, q.sl, Width(4));
@@ -88,17 +86,23 @@ TEST_F(ParallelExecTest, ParallelSelectMatchesSequentialExactly) {
 }
 
 TEST_F(ParallelExecTest, ParallelismOfOneIsSequentialPath) {
+  // Default options (0 = the scheduler's full width) and an explicit 1
+  // (inline) return the same trees.
   QueryExecutor exec(&db_, &seo_, &types_);
-  exec.SetParallelism(0);  // clamped to 1
-  EXPECT_EQ(exec.parallelism(), 1u);
-  auto r = exec.Select("dblp", queries_[0].pattern, queries_[0].sl,
-                       Width(exec.parallelism()));
-  EXPECT_TRUE(r.ok());
+  auto inline_run = exec.Select("dblp", queries_[0].pattern, queries_[0].sl,
+                                Width(1));
+  auto full_width = exec.Select("dblp", queries_[0].pattern, queries_[0].sl,
+                                QueryOptions{});
+  ASSERT_TRUE(inline_run.ok()) << inline_run.status();
+  ASSERT_TRUE(full_width.ok()) << full_width.status();
+  ASSERT_EQ(inline_run->size(), full_width->size());
+  for (size_t i = 0; i < inline_run->size(); ++i) {
+    EXPECT_TRUE((*inline_run)[i].Equals((*full_width)[i])) << "tree " << i;
+  }
 }
 
 TEST_F(ParallelExecTest, StatsStillPopulatedInParallelMode) {
   QueryExecutor par(&db_, &seo_, &types_);
-  par.SetParallelism(4);
   ExecStats stats;
   auto r = par.Select("dblp", queries_[0].pattern, queries_[0].sl, Width(4),
                       &stats);
@@ -109,9 +113,8 @@ TEST_F(ParallelExecTest, StatsStillPopulatedInParallelMode) {
 }
 
 TEST_F(ParallelExecTest, ManyThreadsOnFewDocsFallsBack) {
-  // Fewer docs than 2*threads: the sequential path runs; results valid.
+  // A cap far above the scheduler's width is just a cap; results valid.
   QueryExecutor par(&db_, &seo_, &types_);
-  par.SetParallelism(64);
   auto r = par.Select("dblp", queries_[0].pattern, queries_[0].sl,
                       Width(64));
   ASSERT_TRUE(r.ok());
@@ -131,7 +134,6 @@ TEST_F(ParallelExecTest, ParallelProjectMatchesSequentialExactly) {
                       use_toss ? &types_ : nullptr);
     QueryExecutor par(&db_, use_toss ? &seo_ : nullptr,
                       use_toss ? &types_ : nullptr);
-    par.SetParallelism(4);
     for (const auto& q : queries_) {
       std::vector<tax::ProjectItem> pl;
       for (int label : q.sl) pl.push_back({label, false});
@@ -159,7 +161,6 @@ TEST_F(ParallelExecTest, ParallelGroupByMatchesSequentialExactly) {
                       use_toss ? &types_ : nullptr);
     QueryExecutor par(&db_, use_toss ? &seo_ : nullptr,
                       use_toss ? &types_ : nullptr);
-    par.SetParallelism(4);
     auto rs = seq.GroupBy("dblp", pt, 2, {1}, Width(1));
     auto rp = par.GroupBy("dblp", pt, 2, {1}, Width(4));
     ASSERT_TRUE(rs.ok()) << rs.status();
@@ -171,7 +172,7 @@ TEST_F(ParallelExecTest, ParallelGroupByMatchesSequentialExactly) {
 
 TEST_F(ParallelExecTest, ParallelJoinMatchesSequentialExactly) {
   // Self-join a small slice on equal publication year: enough pairs to
-  // exercise the pool on both sides without a quadratic blowup.
+  // exercise the scheduler on both sides without a quadratic blowup.
   data::BibConfig cfg;
   cfg.seed = 314;
   cfg.num_papers = 120;
@@ -196,7 +197,6 @@ TEST_F(ParallelExecTest, ParallelJoinMatchesSequentialExactly) {
                       use_toss ? &types_ : nullptr);
     QueryExecutor par(&db_, use_toss ? &seo_ : nullptr,
                       use_toss ? &types_ : nullptr);
-    par.SetParallelism(4);
     auto rs = seq.Join("mini", "mini", pt, {2, 4}, Width(1));
     auto rp = par.Join("mini", "mini", pt, {2, 4}, Width(4));
     ASSERT_TRUE(rs.ok()) << rs.status();
@@ -208,7 +208,7 @@ TEST_F(ParallelExecTest, ParallelJoinMatchesSequentialExactly) {
 
 TEST_F(ParallelExecTest, WorkerErrorAbortsPoolAndMatchesSequentialError) {
   // An ill-typed ordering atom (unknown literal type) raises the same
-  // TypeError in every document; the pool must stop and surface it.
+  // TypeError in every document; the fan-out must stop and surface it.
   tax::PatternTree pt;
   int root = pt.AddRoot();
   pt.AddChild(root, tax::EdgeKind::kPc);
@@ -218,7 +218,6 @@ TEST_F(ParallelExecTest, WorkerErrorAbortsPoolAndMatchesSequentialError) {
                       .value());
   QueryExecutor seq(&db_, &seo_, &types_);
   QueryExecutor par(&db_, &seo_, &types_);
-  par.SetParallelism(4);
   auto rs = seq.Select("dblp", pt, {1}, Width(1));
   auto rp = par.Select("dblp", pt, {1}, Width(4));
   ASSERT_FALSE(rs.ok());
@@ -264,7 +263,6 @@ TEST_F(ParallelExecTest, RepeatedQueriesHitTheDecodedTreeCache) {
   auto coll = db_.GetCollection("dblp");
   ASSERT_TRUE(coll.ok());
   QueryExecutor par(&db_, &seo_, &types_);
-  par.SetParallelism(4);
   ASSERT_TRUE(par.Select("dblp", queries_[0].pattern, queries_[0].sl,
                          Width(4))
                   .ok());

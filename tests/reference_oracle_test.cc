@@ -175,12 +175,17 @@ TEST_F(ReferenceOracleTest, SingleCollectionOperatorsMatchUnderTaxAndToss) {
   core::QueryExecutor toss_exec(&db_, &seo_, &types_);
   core::PreparedQueryCache prepared(64);
   size_t nonempty = 0;
+  // At the scheduler's full width (0) and inline (1).
+  for (size_t width : {0, 1})
   for (const core::QueryExecutor* exec : {&tax_exec, &toss_exec}) {
     reference::ReferenceEvaluator ref(&db_, &exec->semantics());
     prepared.Clear();
     core::QueryOptions options;
     options.prepared = &prepared;
-    const std::string system = exec->is_toss() ? "TOSS " : "TAX ";
+    options.parallelism = width;
+    const std::string system = (exec->is_toss() ? "TOSS " : "TAX ") +
+                               std::string("width ") + std::to_string(width) +
+                               " ";
     int n = 0;
     for (const tax::PatternTree& pt : SelectPatterns()) {
       const std::string what = system + "pattern " + std::to_string(n++);
@@ -203,17 +208,21 @@ TEST_F(ReferenceOracleTest, SingleCollectionOperatorsMatchUnderTaxAndToss) {
 TEST_F(ReferenceOracleTest, TwigJoinMatchesUnderTaxAndToss) {
   core::QueryExecutor tax_exec(&db_, nullptr, nullptr);
   core::QueryExecutor toss_exec(&db_, &seo_, &types_);
+  // At the scheduler's full width (0) and inline (1).
+  for (size_t width : {0, 1})
   for (const core::QueryExecutor* exec : {&tax_exec, &toss_exec}) {
     reference::ReferenceEvaluator ref(&db_, &exec->semantics());
+    core::QueryOptions options;
+    options.parallelism = width;
     for (const char* op : {"~", "=", "!="}) {
       for (const std::vector<int>& sl :
            {std::vector<int>{2, 4}, std::vector<int>{1}}) {
         core::ExecStats stats;
-        auto got = exec->Join("dblp", "sigmod", TitleJoin(op), sl,
-                              core::QueryOptions{}, &stats);
+        auto got = exec->Join("dblp", "sigmod", TitleJoin(op), sl, options,
+                              &stats);
         const std::string what = std::string(exec->is_toss() ? "TOSS" : "TAX") +
-                                 " op " + op + " sl " +
-                                 std::to_string(sl.size());
+                                 " width " + std::to_string(width) + " op " +
+                                 op + " sl " + std::to_string(sl.size());
         ExpectSame(got, ref.Join("dblp", "sigmod", TitleJoin(op), sl), what);
         EXPECT_EQ(stats.join_engine, 2) << what;
         if (got.ok() && std::string(op) == "~") {

@@ -726,7 +726,7 @@ class ValueFilterKernelTest : public ::testing::Test {
       }
     }
     std::set<std::pair<uint32_t, uint32_t>> got;
-    for (auto [a, b] : kernel.FreePairs(universe).similar) {
+    for (auto [a, b] : kernel.FreePairs(universe, 0).similar) {
       if (a > b) std::swap(a, b);
       EXPECT_TRUE(got.emplace(a, b).second)
           << "pair reported twice: " << universe.texts[a] << ", "
